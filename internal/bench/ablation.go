@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -291,6 +292,7 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 			paths = append(paths, p)
 		}
 	}
+	sort.Strings(paths) // map order is random; the churn must follow the seed
 	if _, err := workload.Age(ctx, f.FS, paths, workload.AgeSpec{
 		Seed: cfg.Seed + 99, Rounds: 1, ChurnPerRound: len(paths) / 20, MeanFileSize: 64 << 10,
 	}); err != nil {
