@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench-smoke build vet test chaos fuzz-smoke transport-race obs-smoke pipeline-race replica-race scrub-race chunk-race serve-race
+.PHONY: tier1 race bench-smoke tables-check build vet test chaos fuzz-smoke transport-race obs-smoke pipeline-race replica-race scrub-race chunk-race serve-race
 
 tier1: ## vet + build + full test suite (the repo's gate)
 	$(GO) vet ./...
@@ -72,6 +72,9 @@ serve-race: ## race-detector pass over the multi-tenant serve stack: registry, s
 		-timeout 300s ./internal/ndmp/ ./cmd/backupctl/
 	$(GO) test -race -count 1 -run 'TestServeBench' -timeout 300s ./internal/bench/
 	$(GO) test -race -count 1 -run 'TestChaosServe' -timeout 300s ./internal/chaos/
+
+tables-check: ## regenerate every paper table on the virtual clock and diff it against the committed reference
+	$(GO) run ./cmd/benchtables | diff -u docs/benchtables-reference.txt -
 
 bench-smoke: ## quick fast-path micro-benchmarks, gated against the committed baseline
 	$(GO) test -run xxx -bench 'RunRead|RunWrite|RecordWrite' -benchtime 100x \

@@ -217,10 +217,11 @@ func runParallelLogical(ctx context.Context, s ParallelScenario, rep *ParallelRe
 	// the continuation redumps the whole shard, so the partial stream
 	// is discarded rather than salvaged.
 	rep.Resumed = ckpt != nil && ckpt.LastIno > 0
+	resinks, resume := make([]dumpfmt.Sink, len(drives)), make([]*logical.Checkpoint, len(drives))
+	resinks[rep.Faulted], resume[rep.Faulted] = &logical.DriveSink{Drive: cont}, ckpt
 	stats2, err := logical.Dump(ctx, logical.DumpOptions{
 		View: view, Label: "chaos-par", ReadAhead: 8,
-		Sink: &logical.DriveSink{Drive: cont}, Shard: rep.Faulted, Shards: len(drives),
-		Resume: ckpt, CheckpointEvery: s.CheckpointEvery,
+		Sinks: resinks, ResumeShards: resume, CheckpointEvery: s.CheckpointEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: resuming torn shard: %w", err)
@@ -290,10 +291,11 @@ func runParallelPhysical(ctx context.Context, s ParallelScenario, rep *ParallelR
 	// BlocksDone 0 = nothing durable before the fault; the torn stream
 	// is superseded entirely by the continuation and is discarded.
 	rep.Resumed = ckpt != nil && ckpt.BlocksDone > 0
+	resinks, resume := make([]physical.Sink, len(drives)), make([]*physical.Checkpoint, len(drives))
+	resinks[rep.Faulted], resume[rep.Faulted] = &logical.DriveSink{Drive: cont}, ckpt
 	stats2, err := physical.Dump(ctx, physical.DumpOptions{
 		FS: fs, Vol: dev, SnapName: "par",
-		Sink: &logical.DriveSink{Drive: cont}, Shard: rep.Faulted, Shards: len(drives),
-		Resume: ckpt, CheckpointEvery: s.CheckpointEvery,
+		Sinks: resinks, ResumeShards: resume, CheckpointEvery: s.CheckpointEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: resuming torn image shard: %w", err)

@@ -3,12 +3,15 @@ package logical
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
-	"repro/internal/bufpool"
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
+	"repro/internal/sim"
 	"repro/internal/wafl"
 )
 
@@ -39,8 +42,8 @@ type DumpOptions struct {
 	// Exclude, if set, filters out entries by name ("logical backup
 	// schemes often take advantage of filters").
 	Exclude func(name string) bool
-	// Sink receives the stream of a single-stream dump. Mutually
-	// exclusive with Sinks.
+	// Sink receives the stream of a single-stream dump. It is the
+	// one-element spelling of Sinks and is mutually exclusive with it.
 	Sink dumpfmt.Sink
 	// Sinks fans one Dump call out across parallel tape drives: shard
 	// k of len(Sinks) writes a self-contained stream to Sinks[k] —
@@ -50,21 +53,16 @@ type DumpOptions struct {
 	// pipeline; restore applies the shard streams in any order. A
 	// shard failure does not abort its siblings: the other shards run
 	// to completion and the failed shard's checkpoint comes back in
-	// ShardResults for a single-shard resume.
+	// ShardResults. A nil entry skips that shard (its ShardResult
+	// stays zero), so "redo only shard k" is Sinks with only entry k
+	// set plus ResumeShards[k]. At least one entry must be non-nil.
 	Sinks []dumpfmt.Sink
-	// Readers is the number of parallel Phase IV chunk readers per
-	// shard (Sinks mode; default 1). Readers pull file chunks off a
-	// shared plan and the per-drive writer reassembles them in stream
-	// order, so the bytes on tape do not depend on Readers.
+	// Readers is the number of Phase IV chunk readers per shard
+	// (default 1, which stages chunks on the writer itself). More
+	// readers pull file chunks off a shared plan and the per-drive
+	// writer reassembles them in stream order, so the bytes on tape do
+	// not depend on Readers.
 	Readers int
-	// Shard/Shards split the Phase IV file list across parallel tape
-	// drives when the caller drives each shard itself (one Dump call
-	// per drive): shard k of n writes full maps and directories plus
-	// the k-th contiguous slice of the file list — the same slice the
-	// Sinks mode computes, so the streams are interchangeable. Zero
-	// Shards means no sharding. With Sinks set these must be zero.
-	Shard  int
-	Shards int
 	// Label names the dump on tape.
 	Label string
 	// ReadAhead is the dump engine's own read-ahead depth in blocks
@@ -83,7 +81,7 @@ type DumpOptions struct {
 	// checkpoint a failed Dump returned: Phases I-III run again (the
 	// new stream must be self-contained enough for restore to map
 	// names), but Phase IV skips files already durably on the previous
-	// stream.
+	// stream. It is the one-element spelling of ResumeShards.
 	Resume *Checkpoint
 	// ResumeShards, len(Sinks) long, resumes individual shards of a
 	// parallel dump: entry k is shard k's checkpoint from a previous
@@ -110,8 +108,8 @@ type Checkpoint struct {
 	Date    int64 // dump date of the interrupted run (kept across streams)
 	Level   int
 	LastIno wafl.Inum // 0 = no file completed
-	// Shard/Shards record the shard identity of a sharded dump (both
-	// zero for an unsharded stream), so a resume cannot be applied to
+	// Shard/Shards record which stream of the dump this is (shard 0 of
+	// 1 for a single-stream dump), so a resume cannot be applied to
 	// the wrong slice of the file list.
 	Shard  int
 	Shards int
@@ -126,7 +124,9 @@ type DamagedBlock struct {
 	Err string // the final read error, for the operator's report
 }
 
-// DumpStats reports what a dump did.
+// DumpStats reports what a dump did. The file and byte counters
+// aggregate across shards; DirsDumped counts unique directories (every
+// stream carries all of them).
 type DumpStats struct {
 	Date         int64
 	BaseDate     int64
@@ -138,19 +138,17 @@ type DumpStats struct {
 	// Damaged lists file blocks hole-mapped after unrecoverable read
 	// faults — the "exactly which inodes were damaged" report.
 	Damaged []DamagedBlock
-	// Checkpoint is set (alongside a non-nil error) when a
-	// single-stream dump aborted but can resume; nil on success or
-	// when checkpoints were disabled and no resume state existed.
+	// Checkpoint is set (alongside a non-nil error) when a Sink dump
+	// aborted but can resume; nil on success or when checkpoints were
+	// disabled and no resume state existed. A Sinks dump reports
+	// checkpoints per shard in ShardResults.
 	Checkpoint *Checkpoint
-	// ShardResults is the per-shard outcome of a parallel (Sinks)
-	// dump, one entry per stream; nil for a single-stream dump. The
-	// top-level file and byte counters aggregate across shards;
-	// DirsDumped counts unique directories (every stream carries all
-	// of them).
+	// ShardResults is the per-shard outcome, one entry per stream:
+	// one for a Sink dump, len(Sinks) for a Sinks dump.
 	ShardResults []ShardResult
 }
 
-// ShardResult is one shard's outcome within a parallel dump.
+// ShardResult is one shard's outcome within a dump.
 type ShardResult struct {
 	Shard        int
 	FilesDumped  int
@@ -180,74 +178,50 @@ type dumpState struct {
 	names  map[wafl.Inum]string // name each inode was first reached by
 	inodes map[wafl.Inum]wafl.Inode
 
-	// Cross-file read-ahead state (Phase IV). The dump engine runs its
-	// own read-ahead policy in inode order — exactly what the paper
-	// says the in-kernel dump does (§3), and the reason it is not at
-	// the mercy of the filesystem's per-file policy. The lookahead
-	// cursor walks the upcoming (file, block) sequence, keeping
-	// ReadAhead blocks in flight in front of the tape cursor.
-	fileList []wafl.Inum
-	laFile   int
-	laFbn    uint32
-	issued   int64
-	consumed int64
-
-	// chunkBuf is the pooled Phase IV read buffer, sized for a full
-	// header's worth of segments: each chunk is read (in runs) before
-	// its header goes out, so an unreadable block can be demoted to a
-	// hole in the map instead of aborting a half-written record.
-	chunkBuf *[]byte
-
-	stats   *DumpStats
-	ckptIno wafl.Inum // last inode durably checkpointed to media
-}
-
-// logf reports a recovery event to the operator's log, if any.
-func (st *dumpState) logf(format string, args ...any) {
-	if st.opts.Log != nil {
-		st.opts.Log(fmt.Sprintf(format, args...))
-	}
+	// gate serializes view access and cbMu operator callbacks across
+	// concurrently running shards and readers.
+	gate *viewGate
+	cbMu sync.Mutex
 }
 
 // runBlocks is how many file blocks Phase IV reads per bulk ReadAt.
 const runBlocks = 16
 
-// Dump runs the four-phase logical dump and writes the stream to
-// opts.Sink, or — when opts.Sinks is set — fans Phase IV out across
-// parallel per-drive streams from this one call.
+// Dump runs the four-phase logical dump. Phases I and II run once;
+// Phase III writes the maps and every directory to each stream; Phase
+// IV gives each stream its own slice of the file list. A Sink dump is
+// a one-shard dump: it returns the shard's own error and checkpoint.
 func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
-	multi := len(opts.Sinks) > 0
 	if opts.View == nil {
 		return nil, fmt.Errorf("logical: nil view")
 	}
-	if multi {
-		if opts.Sink != nil {
+	sinks, resumes := opts.Sinks, opts.ResumeShards
+	single := opts.Sink != nil
+	if single {
+		if sinks != nil {
 			return nil, fmt.Errorf("logical: Sink and Sinks are mutually exclusive")
 		}
-		if opts.Shard != 0 || opts.Shards != 0 {
-			return nil, fmt.Errorf("logical: Shard/Shards are caller-driven sharding; Sinks shards internally")
-		}
-		if opts.Resume != nil {
-			return nil, fmt.Errorf("logical: use ResumeShards to resume a parallel dump")
-		}
-		if opts.ResumeShards != nil && len(opts.ResumeShards) != len(opts.Sinks) {
-			return nil, fmt.Errorf("logical: ResumeShards has %d entries for %d sinks", len(opts.ResumeShards), len(opts.Sinks))
-		}
-		for i, s := range opts.Sinks {
-			if s == nil {
-				return nil, fmt.Errorf("logical: nil sink %d", i)
-			}
-		}
-	} else {
-		if opts.Sink == nil {
-			return nil, fmt.Errorf("logical: nil sink")
-		}
-		if opts.ResumeShards != nil {
+		if resumes != nil {
 			return nil, fmt.Errorf("logical: ResumeShards requires Sinks")
 		}
-		if opts.Shards != 0 && (opts.Shard < 0 || opts.Shard >= opts.Shards) {
-			return nil, fmt.Errorf("logical: shard %d of %d out of range", opts.Shard, opts.Shards)
+		sinks = []dumpfmt.Sink{opts.Sink}
+		if opts.Resume != nil {
+			resumes = []*Checkpoint{opts.Resume}
 		}
+	} else if opts.Resume != nil {
+		return nil, fmt.Errorf("logical: use ResumeShards to resume a Sinks dump")
+	}
+	var shards []*shard
+	for k, sink := range sinks {
+		if sink != nil {
+			shards = append(shards, &shard{k: k, n: len(sinks), sink: sink})
+		}
+	}
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("logical: nil sink")
+	}
+	if resumes != nil && len(resumes) != len(sinks) {
+		return nil, fmt.Errorf("logical: ResumeShards has %d entries for %d sinks", len(resumes), len(sinks))
 	}
 	if opts.Level < 0 || opts.Level > MaxLevel {
 		return nil, fmt.Errorf("logical: bad level %d", opts.Level)
@@ -261,36 +235,24 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 		parent: make(map[wafl.Inum]wafl.Inum),
 		names:  make(map[wafl.Inum]string),
 		inodes: make(map[wafl.Inum]wafl.Inode),
+		gate:   &viewGate{real: sim.ProcFrom(ctx) == nil},
 	}
 	if opts.Dates != nil {
 		st.ddate = opts.Dates.Base(opts.FSID, opts.Level)
 	}
-	if opts.Resume != nil {
-		if opts.Resume.Level != opts.Level {
-			return nil, fmt.Errorf("logical: resume checkpoint is level %d, dump is level %d", opts.Resume.Level, opts.Level)
-		}
-		if opts.Resume.Shard != opts.Shard || opts.Resume.Shards != opts.Shards {
-			return nil, fmt.Errorf("logical: resume checkpoint is shard %d of %d, dump is shard %d of %d",
-				opts.Resume.Shard, opts.Resume.Shards, opts.Shard, opts.Shards)
-		}
-		// The continuation stream carries the interrupted dump's date,
-		// so all its streams describe one self-consistent dump set.
-		st.date = opts.Resume.Date
-		st.ckptIno = opts.Resume.LastIno
-	}
-	// Parallel resume: every shard checkpoint must describe the same
-	// interrupted dump, whose date the continuation set inherits.
+	// Resume: every shard checkpoint must describe the same interrupted
+	// dump, whose date the continuation set inherits.
 	var resumeDate int64
-	for k, r := range opts.ResumeShards {
+	for k, r := range resumes {
 		if r == nil {
 			continue
 		}
 		if r.Level != opts.Level {
-			return nil, fmt.Errorf("logical: shard %d resume checkpoint is level %d, dump is level %d", k, r.Level, opts.Level)
+			return nil, fmt.Errorf("logical: resume checkpoint is level %d, dump is level %d", r.Level, opts.Level)
 		}
-		if r.Shard != k || r.Shards != len(opts.Sinks) {
+		if r.Shard != k || r.Shards != len(sinks) {
 			return nil, fmt.Errorf("logical: resume checkpoint for shard %d of %d given as shard %d of %d",
-				r.Shard, r.Shards, k, len(opts.Sinks))
+				r.Shard, r.Shards, k, len(sinks))
 		}
 		if resumeDate != 0 && resumeDate != r.Date {
 			return nil, fmt.Errorf("logical: shard resume checkpoints disagree on dump date")
@@ -309,16 +271,15 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 		}
 	}
 	st.rootIno = root
-	st.chunkBuf = bufpool.Get(dumpfmt.MaxSegsPerHeader * dumpfmt.TPBSize)
-	defer bufpool.Put(st.chunkBuf)
 
+	var stats *DumpStats
 	ctx, dumpSpan := obs.Start(ctx, "logical.dump")
 	dumpSpan.SetAttr("level", opts.Level)
 	defer func() {
-		if st.stats != nil {
-			dumpSpan.SetAttr("files", st.stats.FilesDumped)
-			dumpSpan.SetAttr("dirs", st.stats.DirsDumped)
-			dumpSpan.SetAttr("bytes", st.stats.BytesWritten)
+		if stats != nil {
+			dumpSpan.SetAttr("files", stats.FilesDumped)
+			dumpSpan.SetAttr("dirs", stats.DirsDumped)
+			dumpSpan.SetAttr("bytes", stats.BytesWritten)
 		}
 		dumpSpan.End()
 	}()
@@ -347,8 +308,7 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	end()
 
 	// The free-inode map and the sorted Phase III/IV worklists are
-	// computed once and shared by the single-stream path and every
-	// parallel shard.
+	// computed once and shared by every shard.
 	clri := dumpfmt.NewInoMap(uint32(st.view.NumInodes(ctx)))
 	for i := uint32(wafl.RootIno); i < uint32(st.view.NumInodes(ctx)); i++ {
 		if !st.used.Has(i) {
@@ -369,114 +329,103 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	sort.Slice(dirInos, func(i, j int) bool { return dirInos[i] < dirInos[j] })
 	sort.Slice(fileInos, func(i, j int) bool { return fileInos[i] < fileInos[j] })
 
-	if multi {
-		return st.dumpParallel(ctx, clri, dirInos, fileInos, begin, end)
+	stats = &DumpStats{
+		Date: st.date, BaseDate: st.ddate, InodesMapped: st.used.Count(),
+		ShardResults: make([]ShardResult, len(sinks)),
 	}
-
-	w, err := dumpfmt.NewWriter(opts.Sink, opts.Label, st.date, st.ddate, int32(opts.Level))
-	if err != nil {
-		return nil, err
-	}
-
-	stats := &DumpStats{Date: st.date, BaseDate: st.ddate, InodesMapped: st.used.Count()}
-	st.stats = stats
-
-	// fail wraps an unrecoverable error with the resumable state: the
-	// last inode durably checkpointed (possibly inherited from the
-	// attempt this one resumed), so the next invocation can continue.
-	fail := func(err error) (*DumpStats, error) {
-		if opts.CheckpointEvery > 0 || opts.Resume != nil {
-			stats.Checkpoint = &Checkpoint{
-				Date: st.date, Level: opts.Level, LastIno: st.ckptIno,
-				Shard: opts.Shard, Shards: opts.Shards,
-			}
+	for _, sh := range shards {
+		k := sh.k
+		sh.files = fileInos[len(fileInos)*k/len(sinks) : len(fileInos)*(k+1)/len(sinks)]
+		if resumes != nil && resumes[k] != nil {
+			sh.resume = resumes[k]
+			sh.ckptIno = sh.resume.LastIno
+			skip := sort.Search(len(sh.files), func(i int) bool { return sh.files[i] > sh.ckptIno })
+			sh.res.FilesSkipped = skip
+			sh.files = sh.files[skip:]
 		}
-		return stats, err
 	}
 
-	// Write the two maps the format prescribes: inodes free at dump
-	// time (TS_CLRI) and inodes on this tape (TS_BITS). A sharded
-	// stream carries the full maps: restore tolerates TS_BITS naming
-	// files that arrive on sibling streams.
-	if err := writeMap(w, dumpfmt.TSClri, clri, uint32(st.rootIno)); err != nil {
-		return fail(err)
+	// Phase III: open every stream and write the two maps the format
+	// prescribes — inodes free at dump time (TS_CLRI) and inodes on
+	// this tape (TS_BITS), in full on every stream: restore tolerates
+	// TS_BITS naming files that arrive on sibling streams. Then each
+	// directory goes to every stream as soon as it is read, so every
+	// stream is self-contained enough for restore to map names. A
+	// stream's write error fails only its shard.
+	for _, sh := range shards {
+		sh.w, sh.err = dumpfmt.NewWriter(sh.sink, opts.Label, st.date, st.ddate, int32(opts.Level))
+		if sh.err == nil {
+			sh.err = writeMap(sh.w, dumpfmt.TSClri, clri, uint32(st.rootIno))
+		}
+		if sh.err == nil {
+			sh.err = writeMap(sh.w, dumpfmt.TSBits, st.dump, uint32(st.rootIno))
+		}
 	}
-	if err := writeMap(w, dumpfmt.TSBits, st.dump, uint32(st.rootIno)); err != nil {
-		return fail(err)
-	}
-
-	// Phase III: dump directories, in ascending inode order.
 	begin("Dumping directories")
 	for _, ino := range dirInos {
-		if err := ctx.Err(); err != nil {
-			end()
-			return fail(err)
+		live := running(shards)
+		if len(live) == 0 {
+			break
 		}
-		if err := st.dumpDirectory(ctx, w, ino); err != nil {
-			end()
-			return fail(err)
+		data, err := st.readDir(ctx, ino)
+		if err != nil {
+			for _, sh := range live {
+				sh.err = err
+			}
+			break
 		}
 		stats.DirsDumped++
+		inode := st.inodes[ino]
+		di := toDumpInode(&inode)
+		di.Size = uint64(len(data))
+		for _, sh := range live {
+			sh.err = writeBlob(sh.w, dumpfmt.TSInode, uint32(ino), di, data)
+		}
 	}
 	end()
 
-	// Phase IV: dump files, in ascending inode order, with the dump
-	// engine's own cross-file read-ahead running in front. A
-	// caller-driven shard dumps only its contiguous slice of the list;
-	// a resumed dump skips the files its checkpoint vouches for.
+	// Phase IV: files, in ascending inode order, each shard on its own
+	// slice. A lone shard runs on the calling process; several run side
+	// by side on a plain group, so one drive's failure leaves the
+	// sibling shards streaming to completion.
 	begin("Dumping files")
-	if opts.Shards > 1 {
-		lo := len(fileInos) * opts.Shard / opts.Shards
-		hi := len(fileInos) * (opts.Shard + 1) / opts.Shards
-		fileInos = fileInos[lo:hi]
-	}
-	if st.ckptIno > 0 {
-		skip := sort.Search(len(fileInos), func(i int) bool { return fileInos[i] > st.ckptIno })
-		stats.FilesSkipped = skip
-		fileInos = fileInos[skip:]
-	}
-	st.fileList = fileInos
-	sinceCkpt := 0
-	for _, ino := range fileInos {
-		if err := ctx.Err(); err != nil {
-			end()
-			return fail(err)
+	if live := running(shards); len(live) == 1 {
+		live[0].err = st.dumpFiles(ctx, live[0])
+	} else {
+		g := pipeline.NewGroup(ctx)
+		for _, sh := range live {
+			sh := sh
+			g.Go(fmt.Sprintf("logical.shard%d", sh.k), func(ctx context.Context) error {
+				defer pipeline.BindStageProc(ctx, sh.sink)()
+				sh.err = st.dumpFiles(ctx, sh)
+				return nil // shard errors are isolated in results
+			})
 		}
-		if opts.FileIndex != nil {
-			// Emitted before the file so Unit names the stream position
-			// of its header. A resumed dump indexes only this stream's
-			// files; the skipped ones are on the prior attempt's index.
-			opts.FileIndex(st.path(ino), ino, w.Tapea())
-		}
-		if err := st.dumpFile(ctx, w, ino); err != nil {
-			end()
-			return fail(err)
-		}
-		stats.FilesDumped++
-		sinceCkpt++
-		if opts.CheckpointEvery > 0 && sinceCkpt >= opts.CheckpointEvery {
-			if err := w.Checkpoint(uint32(ino)); err != nil {
-				end()
-				return fail(err)
-			}
-			// A sink that accepts records provisionally must confirm
-			// durability before the checkpoint may vouch for this file.
-			if sy, ok := opts.Sink.(dumpfmt.Syncer); ok {
-				if err := sy.Sync(); err != nil {
-					end()
-					return fail(err)
-				}
-			}
-			st.ckptIno = ino
-			sinceCkpt = 0
-		}
+		g.Wait()
 	}
 	end()
 
-	if err := w.Close(); err != nil {
-		return fail(err)
+	var errs []error
+	for _, sh := range shards {
+		r := sh.result(st)
+		stats.ShardResults[sh.k] = r
+		stats.FilesDumped += r.FilesDumped
+		stats.FilesSkipped += r.FilesSkipped
+		stats.BytesWritten += r.BytesWritten
+		stats.Damaged = append(stats.Damaged, r.Damaged...)
+		if r.Err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", r.Shard, r.Err))
+		}
 	}
-	stats.BytesWritten = w.Written()
+	if len(errs) > 0 {
+		if single {
+			// Single-stream contract: the shard's own error and resume
+			// checkpoint at the stats top level.
+			stats.Checkpoint = stats.ShardResults[0].Checkpoint
+			return stats, stats.ShardResults[0].Err
+		}
+		return stats, errors.Join(errs...)
+	}
 	if opts.Dates != nil {
 		opts.Dates.Record(opts.FSID, opts.Level, st.date)
 	}
@@ -672,14 +621,17 @@ func DecodeDirEnts(data []byte) ([]wafl.DirEnt, error) {
 	return ents, nil
 }
 
-// dumpDirectory writes one directory's canonical entry list.
-func (st *dumpState) dumpDirectory(ctx context.Context, w *dumpfmt.Writer, ino wafl.Inum) error {
+// readDir reads one directory and encodes its canonical entry list,
+// with the exclusion filter applied so restore never learns about
+// filtered names.
+func (st *dumpState) readDir(ctx context.Context, ino wafl.Inum) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ents, err := st.view.Readdir(ctx, ino)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Apply the exclusion filter to the entry list too, so restore
-	// never learns about filtered names.
 	kept := ents[:0]
 	for _, e := range ents {
 		if e.Name != "." && e.Name != ".." && st.opts.Exclude != nil && st.opts.Exclude(e.Name) {
@@ -687,11 +639,7 @@ func (st *dumpState) dumpDirectory(ctx context.Context, w *dumpfmt.Writer, ino w
 		}
 		kept = append(kept, e)
 	}
-	data := encodeDirEnts(kept)
-	inode := st.inodes[ino]
-	di := toDumpInode(&inode)
-	di.Size = uint64(len(data))
-	return writeBlob(w, dumpfmt.TSInode, uint32(ino), di, data)
+	return encodeDirEnts(kept), nil
 }
 
 // writeBlob emits fully present (hole-free) data under one or more
@@ -737,168 +685,6 @@ func writeBlob(w *dumpfmt.Writer, typ int32, ino uint32, di dumpfmt.DumpInode, d
 		first = false
 	}
 	return nil
-}
-
-// dumpFile writes one regular file or symlink with its hole map,
-// driving the dump engine's own read-ahead.
-func (st *dumpState) dumpFile(ctx context.Context, w *dumpfmt.Writer, ino wafl.Inum) error {
-	inode := st.inodes[ino]
-	di := toDumpInode(&inode)
-	totalSegs := int((inode.Size + dumpfmt.TPBSize - 1) / dumpfmt.TPBSize)
-	if totalSegs == 0 {
-		h := &dumpfmt.Header{Type: dumpfmt.TSInode, Inumber: uint32(ino), Dinode: di}
-		return w.WriteHeader(h)
-	}
-	segsPerBlock := wafl.BlockSize / dumpfmt.TPBSize
-	prefetch := st.opts.ReadAhead > 0
-
-	chunkBuf := *st.chunkBuf
-	seg := 0
-	first := true
-	for seg < totalSegs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		chunk := totalSegs - seg
-		if chunk > dumpfmt.MaxSegsPerHeader {
-			chunk = dumpfmt.MaxSegsPerHeader
-		}
-		// Build the hole map for this chunk from the block tree.
-		addrs := make([]byte, chunk)
-		for i := 0; i < chunk; i++ {
-			fbn := uint32((seg + i) / segsPerBlock)
-			pbn, err := st.view.BlockAt(ctx, ino, fbn)
-			if err != nil {
-				return err
-			}
-			if pbn != 0 {
-				addrs[i] = 1
-			}
-		}
-		// Stage the chunk's present blocks into chunkBuf BEFORE the
-		// header goes out — segment i of the chunk lives at
-		// chunkBuf[i*TPBSize:]. Contiguous runs of present blocks are
-		// pulled in with one bulk ReadAt each (chunks are block-aligned:
-		// MaxSegsPerHeader is a multiple of segsPerBlock), with the dump
-		// engine's own read-ahead running W blocks in front. A run that
-		// fails is salvaged block by block; blocks that stay unreadable
-		// are demoted to holes in addrs, so the header's map and the
-		// segments that follow it always agree.
-		for i := 0; i < chunk; {
-			if addrs[i] == 0 {
-				i++
-				continue
-			}
-			sIdx := seg + i
-			fbn0 := sIdx / segsPerBlock
-			// Extend the run while the next block is present and in
-			// this chunk.
-			nb := 1
-			for nb < runBlocks {
-				next := (fbn0+nb)*segsPerBlock - seg
-				if next >= chunk || addrs[next] == 0 {
-					break
-				}
-				nb++
-			}
-			if prefetch {
-				st.consumed += int64(nb)
-				st.pumpReadAhead(ctx)
-			}
-			dst := chunkBuf[i*dumpfmt.TPBSize : i*dumpfmt.TPBSize+nb*wafl.BlockSize]
-			if _, err := st.view.ReadAt(ctx, ino, uint64(fbn0)*wafl.BlockSize, dst); err != nil {
-				if err := st.salvageRun(ctx, ino, fbn0, nb, seg, chunk, addrs, chunkBuf); err != nil {
-					return err
-				}
-			}
-			i = (fbn0+nb)*segsPerBlock - seg
-			if i > chunk {
-				i = chunk
-			}
-		}
-		t := int32(dumpfmt.TSInode)
-		if !first {
-			t = dumpfmt.TSAddr
-		}
-		h := &dumpfmt.Header{Type: t, Inumber: uint32(ino), Dinode: di, Count: int32(chunk), Addrs: addrs}
-		if err := w.WriteHeader(h); err != nil {
-			return err
-		}
-		for i := 0; i < chunk; i++ {
-			if addrs[i] == 0 {
-				continue
-			}
-			sIdx := seg + i
-			so := i * dumpfmt.TPBSize
-			endOff := so + dumpfmt.TPBSize
-			if rem := inode.Size - uint64(sIdx)*dumpfmt.TPBSize; rem < dumpfmt.TPBSize {
-				endOff = so + int(rem)
-			}
-			if err := w.WriteSegment(chunkBuf[so:endOff]); err != nil {
-				return err
-			}
-		}
-		seg += chunk
-		first = false
-	}
-	return nil
-}
-
-// salvageRun recovers a failed bulk run one block at a time. A block
-// the storage stack cannot produce even with retries and RAID
-// reconstruction is logged, recorded in the damage report, and
-// demoted to a hole in addrs — the dump continues, per the paper's
-// observation that logical backup degrades per-file rather than
-// per-volume. Cancellation is not damage: it aborts the dump.
-func (st *dumpState) salvageRun(ctx context.Context, ino wafl.Inum, fbn0, nb, seg, chunk int, addrs []byte, chunkBuf []byte) error {
-	segsPerBlock := wafl.BlockSize / dumpfmt.TPBSize
-	for b := 0; b < nb; b++ {
-		fbn := fbn0 + b
-		si := fbn*segsPerBlock - seg // chunk-relative first segment of the block
-		dst := chunkBuf[si*dumpfmt.TPBSize : si*dumpfmt.TPBSize+wafl.BlockSize]
-		_, err := st.view.ReadAt(ctx, ino, uint64(fbn)*wafl.BlockSize, dst)
-		if err == nil {
-			continue
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		for k := 0; k < segsPerBlock; k++ {
-			if si+k < chunk {
-				addrs[si+k] = 0
-			}
-		}
-		st.stats.Damaged = append(st.stats.Damaged, DamagedBlock{Ino: ino, Fbn: uint32(fbn), Err: err.Error()})
-		st.logf("ino %d fbn %d unreadable, hole-mapped: %v", ino, fbn, err)
-	}
-	return nil
-}
-
-// pumpReadAhead advances the lookahead cursor until ReadAhead blocks
-// are in flight beyond the blocks already consumed. Unlike a per-file
-// policy, the cursor crosses file boundaries: the next file's blocks
-// start arriving while the current file is still being written to
-// tape, hiding the per-file first-block seek.
-func (st *dumpState) pumpReadAhead(ctx context.Context) {
-	for st.issued < st.consumed+int64(st.opts.ReadAhead) && st.laFile < len(st.fileList) {
-		if ctx.Err() != nil {
-			return
-		}
-		ino := st.fileList[st.laFile]
-		inode := st.inodes[ino]
-		if st.laFbn >= inode.Blocks() {
-			st.laFile++
-			st.laFbn = 0
-			continue
-		}
-		pbn, err := st.view.BlockAt(ctx, ino, st.laFbn)
-		st.laFbn++
-		st.issued++ // holes count: the tape cursor skips them too
-		if err != nil || pbn <= 1 {
-			continue
-		}
-		st.view.PrefetchBlock(ctx, pbn)
-	}
 }
 
 func toDumpInode(ino *wafl.Inode) dumpfmt.DumpInode {

@@ -2,28 +2,24 @@ package logical
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bufpool"
 	"repro/internal/dumpfmt"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/wafl"
 )
 
-// The parallel logical dump: Phases I-III run once on the calling
-// process, then each drive gets its own shard pipeline — N chunk
-// readers pulling Phase IV file chunks off a precomputed plan, one
-// writer reassembling them in plan order behind the full maps and the
-// shared directory records. The plan fixes every header boundary
-// before any file I/O starts, so the bytes each shard writes are
-// identical to a caller-driven Shard/Shards dump of the same slice —
-// parallelism changes only the clock.
+// Phase IV of the logical dump: each shard (one per drive; a Sink dump
+// is one shard) expands its slice of the file list into a plan of
+// header-sized chunks, stages each chunk's hole map and blocks, and
+// emits it in plan order. The plan fixes every header boundary before
+// any file I/O starts, so the bytes a shard writes do not depend on
+// who stages the chunks: the writer itself (one reader, the default),
+// or N reader stages feeding it through a reorder queue — parallelism
+// changes only the clock.
 
 // viewGate serializes filesystem-view access across parallel Phase IV
 // readers in untimed mode: the wafl block cache is not thread-safe.
@@ -47,31 +43,62 @@ func (g *viewGate) unlock() {
 	}
 }
 
-// shardPrep is the Phase I-III product shared read-only by every
-// shard: the dump state's maps, the encoded directory records, and the
-// gates serializing view access and operator callbacks.
-type shardPrep struct {
-	st       *dumpState
-	clri     *dumpfmt.InoMap
-	dirInos  []wafl.Inum
-	dirBlobs map[wafl.Inum][]byte
-	gate     *viewGate
-	cbMu     sync.Mutex
-}
-
 // callback runs an operator callback (Log, FileIndex), serialized
 // across shard writers when they are real goroutines.
-func (p *shardPrep) callback(f func()) {
-	if p.gate.real {
-		p.cbMu.Lock()
-		defer p.cbMu.Unlock()
+func (st *dumpState) callback(f func()) {
+	if st.gate.real {
+		st.cbMu.Lock()
+		defer st.cbMu.Unlock()
 	}
 	f()
 }
 
+// shard is one stream of a dump: its sink and writer, its slice of
+// the Phase IV file list (past any resume point), and its progress.
+// Only the shard's own writer touches it until Dump collects results.
+type shard struct {
+	k, n    int // shard k of n
+	sink    dumpfmt.Sink
+	w       *dumpfmt.Writer
+	files   []wafl.Inum
+	resume  *Checkpoint
+	ckptIno wafl.Inum // last inode durably checkpointed to media
+	res     ShardResult
+	err     error
+}
+
+// running returns the shards that have not failed.
+func running(shards []*shard) []*shard {
+	var live []*shard
+	for _, sh := range shards {
+		if sh.err == nil {
+			live = append(live, sh)
+		}
+	}
+	return live
+}
+
+// result finalizes the shard's outcome. A failed shard carries the
+// resumable state: the last inode durably checkpointed (possibly
+// inherited from the attempt this one resumed).
+func (sh *shard) result(st *dumpState) ShardResult {
+	r := sh.res
+	r.Shard = sh.k
+	r.Err = sh.err
+	if sh.err == nil {
+		r.BytesWritten = sh.w.Written()
+	} else if st.opts.CheckpointEvery > 0 || sh.resume != nil {
+		r.Checkpoint = &Checkpoint{
+			Date: st.date, Level: st.opts.Level, LastIno: sh.ckptIno,
+			Shard: sh.k, Shards: sh.n,
+		}
+	}
+	return r
+}
+
 // fileJob is one planned Phase IV chunk: up to MaxSegsPerHeader
-// segments of one file, block-aligned exactly like the sequential
-// engine's chunks so the stream bytes match it byte for byte.
+// segments of one file, block-aligned (MaxSegsPerHeader is a multiple
+// of the segments per block).
 type fileJob struct {
 	ino        wafl.Inum
 	seg, nsegs int
@@ -148,11 +175,17 @@ func pumpShard(ctx context.Context, st *dumpState, pump *shardPump) {
 }
 
 // stageChunk reads one chunk's hole map and present blocks into a
-// pooled buffer, salvaging failed runs block by block: blocks that
-// stay unreadable are demoted to holes in addrs and recorded in the
-// result's damage list (the writer folds them into the stream-order
-// report). Mirrors dumpFile's staging loop exactly.
-func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardPump, seq int, j fileJob) (chunkRes, error) {
+// pooled buffer BEFORE its header goes out, so an unreadable block can
+// be demoted to a hole in the map instead of aborting a half-written
+// record. Contiguous runs of present blocks are pulled in with one
+// bulk ReadAt each, with the dump engine's own read-ahead running in
+// front. A run that fails is salvaged block by block: blocks the
+// storage stack cannot produce even with retries and RAID
+// reconstruction are demoted to holes and recorded in the result's
+// damage list (the writer folds them into the stream-order report) —
+// logical backup degrades per file, not per volume. Cancellation is
+// not damage: it aborts the shard.
+func stageChunk(ctx context.Context, st *dumpState, pump *shardPump, seq int, j fileJob) (chunkRes, error) {
 	res := chunkRes{seq: seq}
 	if j.nsegs == 0 {
 		return res, nil
@@ -167,8 +200,8 @@ func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardP
 		res.buf = nil
 		return res, err
 	}
-	gate.lock()
-	defer gate.unlock()
+	st.gate.lock()
+	defer st.gate.unlock()
 	for i := 0; i < j.nsegs; i++ {
 		fbn := uint32((j.seg + i) / segsPerBlock)
 		pbn, err := st.view.BlockAt(ctx, j.ino, fbn)
@@ -200,8 +233,6 @@ func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardP
 		}
 		dst := chunkBuf[i*dumpfmt.TPBSize : i*dumpfmt.TPBSize+nb*wafl.BlockSize]
 		if _, err := st.view.ReadAt(ctx, j.ino, uint64(fbn0)*wafl.BlockSize, dst); err != nil {
-			// Salvage block by block; unreadable blocks demote to holes.
-			// Cancellation is not damage: it aborts the shard.
 			for b := 0; b < nb; b++ {
 				fbn := fbn0 + b
 				si := fbn*segsPerBlock - j.seg
@@ -232,7 +263,7 @@ func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardP
 
 // shardChunkReader pulls chunk jobs off the shared plan by atomic
 // counter, stages each, and hands it to the writer queue.
-func shardChunkReader(ctx context.Context, st *dumpState, gate *viewGate, pump *shardPump, plan []fileJob, next *atomic.Int64, out *pipeline.Queue[chunkRes]) error {
+func shardChunkReader(ctx context.Context, st *dumpState, pump *shardPump, plan []fileJob, next *atomic.Int64, out *pipeline.Queue[chunkRes]) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -241,7 +272,7 @@ func shardChunkReader(ctx context.Context, st *dumpState, gate *viewGate, pump *
 		if seq >= len(plan) {
 			return nil
 		}
-		res, err := stageChunk(ctx, st, gate, pump, seq, plan[seq])
+		res, err := stageChunk(ctx, st, pump, seq, plan[seq])
 		if err != nil {
 			return err
 		}
@@ -252,15 +283,6 @@ func shardChunkReader(ctx context.Context, st *dumpState, gate *viewGate, pump *
 			return err
 		}
 	}
-}
-
-// writerState is the shard writer's progress, read by dumpLogicalShard
-// after the pipeline joins (single writer, so no locking).
-type writerState struct {
-	filesDumped int
-	bytes       int64
-	ckptIno     wafl.Inum
-	damaged     []DamagedBlock
 }
 
 // emitChunk writes one reassembled chunk: TSInode/TSAddr header, then
@@ -297,74 +319,90 @@ func emitChunk(st *dumpState, w *dumpfmt.Writer, j fileJob, res chunkRes) error 
 	return nil
 }
 
-// shardStreamWriter writes one shard's complete stream: label header,
-// full maps, every directory (replayed from the shared blobs), then
-// the Phase IV chunks reassembled in plan order from the reader queue,
-// checkpointing after every CheckpointEvery completed files.
-func shardStreamWriter(ctx context.Context, prep *shardPrep, sink dumpfmt.Sink, plan []fileJob, out *pipeline.Queue[chunkRes], ws *writerState) error {
-	st := prep.st
+// dumpFiles runs one shard's Phase IV and closes its stream. With one
+// reader the writer stages each chunk itself; with more, reader stages
+// stage chunks concurrently and the writer reassembles plan order.
+func (st *dumpState) dumpFiles(ctx context.Context, sh *shard) error {
+	plan := planFiles(st, sh.files)
+	pump := &shardPump{files: sh.files}
+	readers := st.opts.Readers
+	if readers > len(plan) {
+		readers = len(plan)
+	}
+	if readers <= 1 {
+		return st.writeFiles(sh, plan, func(seq int) (chunkRes, error) {
+			if err := ctx.Err(); err != nil {
+				return chunkRes{}, err
+			}
+			return stageChunk(ctx, st, pump, seq, plan[seq])
+		})
+	}
+
+	pl := pipeline.New(ctx)
+	out := pipeline.NewQueue[chunkRes](pl, fmt.Sprintf("logical.shard%d", sh.k), 2*readers+2)
+	var next atomic.Int64
+	var live atomic.Int64
+	live.Store(int64(readers))
+	for r := 0; r < readers; r++ {
+		pl.Go(fmt.Sprintf("logical.shard%d.reader%d", sh.k, r), func(ctx context.Context) error {
+			err := shardChunkReader(ctx, st, pump, plan, &next, out)
+			if live.Add(-1) == 0 {
+				out.CloseSend() // last reader out ends the stream
+			}
+			return err
+		})
+	}
+	pl.Go(fmt.Sprintf("logical.shard%d.writer", sh.k), func(ctx context.Context) error {
+		defer pipeline.BindStageProc(ctx, sh.sink)()
+		// Readers finish out of order; pending chunks are bounded by
+		// the reader count plus the queue.
+		pending := make(map[int]chunkRes)
+		defer func() {
+			for _, r := range pending {
+				if r.buf != nil {
+					bufpool.Put(r.buf)
+				}
+			}
+		}()
+		return st.writeFiles(sh, plan, func(seq int) (chunkRes, error) {
+			for {
+				if res, ok := pending[seq]; ok {
+					delete(pending, seq)
+					return res, nil
+				}
+				c, ok, err := out.Get(ctx)
+				if err != nil {
+					return chunkRes{}, err
+				}
+				if !ok {
+					return chunkRes{}, fmt.Errorf("logical: chunk stream ended at %d of %d", seq, len(plan))
+				}
+				pending[c.seq] = c
+			}
+		})
+	})
+	return pl.Wait()
+}
+
+// writeFiles emits the shard's plan in order, taking each staged chunk
+// from next, checkpointing after every CheckpointEvery completed files,
+// and closes the stream.
+func (st *dumpState) writeFiles(sh *shard, plan []fileJob, next func(seq int) (chunkRes, error)) error {
 	opts := &st.opts
-	defer pipeline.BindStageProc(ctx, sink)()
-
-	w, err := dumpfmt.NewWriter(sink, opts.Label, st.date, st.ddate, int32(opts.Level))
-	if err != nil {
-		return err
-	}
-	// Full maps on every stream: restore tolerates TS_BITS naming
-	// files that arrive on sibling streams.
-	if err := writeMap(w, dumpfmt.TSClri, prep.clri, uint32(st.rootIno)); err != nil {
-		return err
-	}
-	if err := writeMap(w, dumpfmt.TSBits, st.dump, uint32(st.rootIno)); err != nil {
-		return err
-	}
-	// Phase III: every stream carries all directories, so each is
-	// self-contained enough for restore to map names on its own.
-	for _, ino := range prep.dirInos {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		data := prep.dirBlobs[ino]
-		inode := st.inodes[ino]
-		di := toDumpInode(&inode)
-		di.Size = uint64(len(data))
-		if err := writeBlob(w, dumpfmt.TSInode, uint32(ino), di, data); err != nil {
-			return err
-		}
-	}
-
-	// Phase IV: drain the queue, reassembling plan order (readers
-	// finish out of order; pending chunks are bounded by the reader
-	// count plus the queue).
-	pending := make(map[int]chunkRes)
-	defer func() {
-		for _, r := range pending {
-			if r.buf != nil {
-				bufpool.Put(r.buf)
-			}
-		}
-	}()
 	sinceCkpt := 0
-	for emitted := 0; emitted < len(plan); {
-		res, ready := pending[emitted]
-		if !ready {
-			c, ok, err := out.Get(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("logical: chunk stream ended at %d of %d", emitted, len(plan))
-			}
-			pending[c.seq] = c
-			continue
+	for seq, j := range plan {
+		res, err := next(seq)
+		if err != nil {
+			return err
 		}
-		delete(pending, emitted)
-		j := plan[emitted]
 		if j.first && opts.FileIndex != nil {
-			unit := w.Tapea()
-			prep.callback(func() { opts.FileIndex(st.path(j.ino), j.ino, unit) })
+			// Emitted before the file so Unit names the stream position
+			// of its header. A resumed dump indexes only this stream's
+			// files; the skipped ones are on the prior attempt's index.
+			unit := sh.w.Tapea()
+			st.callback(func() { opts.FileIndex(st.path(j.ino), j.ino, unit) })
 		}
-		err := emitChunk(st, w, j, res)
+		err = emitChunk(st, sh.w, j, res)
 		if res.buf != nil {
 			bufpool.Put(res.buf)
 		}
@@ -374,192 +412,33 @@ func shardStreamWriter(ctx context.Context, prep *shardPrep, sink dumpfmt.Sink, 
 		// Damage reports fold in here, in stream order, so the report
 		// is deterministic for any reader count.
 		for _, d := range res.damaged {
-			ws.damaged = append(ws.damaged, d)
+			sh.res.Damaged = append(sh.res.Damaged, d)
 			if opts.Log != nil {
 				d := d
-				prep.callback(func() {
-					st.logf("ino %d fbn %d unreadable, hole-mapped: %s", d.Ino, d.Fbn, d.Err)
+				st.callback(func() {
+					opts.Log(fmt.Sprintf("ino %d fbn %d unreadable, hole-mapped: %s", d.Ino, d.Fbn, d.Err))
 				})
 			}
 		}
-		if j.last {
-			ws.filesDumped++
-			sinceCkpt++
-			if opts.CheckpointEvery > 0 && sinceCkpt >= opts.CheckpointEvery {
-				if err := w.Checkpoint(uint32(j.ino)); err != nil {
+		if !j.last {
+			continue
+		}
+		sh.res.FilesDumped++
+		sinceCkpt++
+		if opts.CheckpointEvery > 0 && sinceCkpt >= opts.CheckpointEvery {
+			if err := sh.w.Checkpoint(uint32(j.ino)); err != nil {
+				return err
+			}
+			// A sink that accepts records provisionally must confirm
+			// durability before the checkpoint may vouch for them.
+			if sy, ok := sh.sink.(dumpfmt.Syncer); ok {
+				if err := sy.Sync(); err != nil {
 					return err
 				}
-				// A sink that accepts records provisionally must confirm
-				// durability before the checkpoint may vouch for them.
-				if sy, ok := sink.(dumpfmt.Syncer); ok {
-					if err := sy.Sync(); err != nil {
-						return err
-					}
-				}
-				ws.ckptIno = j.ino
-				sinceCkpt = 0
 			}
-		}
-		emitted++
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	ws.bytes = w.Written()
-	return nil
-}
-
-// dumpLogicalShard runs one shard's pipeline to completion. The error
-// (with resume checkpoint) stays in the ShardResult so sibling shards
-// are unaffected.
-func dumpLogicalShard(ctx context.Context, prep *shardPrep, sink dumpfmt.Sink, files []wafl.Inum, ckShard, ckShards int, resume *Checkpoint) ShardResult {
-	st := prep.st
-	opts := &st.opts
-	res := ShardResult{Shard: ckShard}
-
-	ckptIno := wafl.Inum(0)
-	if resume != nil {
-		ckptIno = resume.LastIno
-	}
-	if ckptIno > 0 {
-		skip := sort.Search(len(files), func(i int) bool { return files[i] > ckptIno })
-		res.FilesSkipped = skip
-		files = files[skip:]
-	}
-	plan := planFiles(st, files)
-
-	readers := opts.Readers
-	if readers < 1 {
-		readers = 1
-	}
-	if readers > len(plan) && len(plan) > 0 {
-		readers = len(plan)
-	}
-
-	pump := &shardPump{files: files}
-	pl := pipeline.New(ctx)
-	out := pipeline.NewQueue[chunkRes](pl, fmt.Sprintf("logical.shard%d", ckShard), 2*readers+2)
-	var next atomic.Int64
-	var live atomic.Int64
-	live.Store(int64(readers))
-	for r := 0; r < readers; r++ {
-		pl.Go(fmt.Sprintf("logical.shard%d.reader%d", ckShard, r), func(ctx context.Context) error {
-			err := shardChunkReader(ctx, st, prep.gate, pump, plan, &next, out)
-			if live.Add(-1) == 0 {
-				out.CloseSend() // last reader out ends the stream
-			}
-			return err
-		})
-	}
-	ws := &writerState{ckptIno: ckptIno}
-	pl.Go(fmt.Sprintf("logical.shard%d.writer", ckShard), func(ctx context.Context) error {
-		return shardStreamWriter(ctx, prep, sink, plan, out, ws)
-	})
-	err := pl.Wait()
-	res.FilesDumped = ws.filesDumped
-	res.Damaged = ws.damaged
-	if err != nil {
-		res.Err = err
-		if opts.CheckpointEvery > 0 || resume != nil {
-			res.Checkpoint = &Checkpoint{
-				Date: st.date, Level: opts.Level, LastIno: ws.ckptIno,
-				Shard: ckShard, Shards: ckShards,
-			}
-		}
-		return res
-	}
-	res.BytesWritten = ws.bytes
-	return res
-}
-
-// dumpParallel is the Sinks-mode Phase III/IV driver: directories are
-// read and encoded once, then each sink's shard rides its own pipeline
-// and a plain group joins them — one drive's failure leaves the
-// sibling shards streaming to completion.
-func (st *dumpState) dumpParallel(ctx context.Context, clri *dumpfmt.InoMap, dirInos, fileInos []wafl.Inum, begin func(string), end func()) (*DumpStats, error) {
-	opts := &st.opts
-	nShards := len(opts.Sinks)
-
-	stats := &DumpStats{Date: st.date, BaseDate: st.ddate, InodesMapped: st.used.Count()}
-	st.stats = stats
-
-	// Phase III prep: read and encode every directory once, so only
-	// Phase IV touches the filesystem concurrently.
-	begin("Dumping directories")
-	prep := &shardPrep{
-		st: st, clri: clri, dirInos: dirInos,
-		dirBlobs: make(map[wafl.Inum][]byte, len(dirInos)),
-		gate:     &viewGate{real: sim.ProcFrom(ctx) == nil},
-	}
-	for _, ino := range dirInos {
-		if err := ctx.Err(); err != nil {
-			end()
-			return stats, err
-		}
-		ents, err := st.view.Readdir(ctx, ino)
-		if err != nil {
-			end()
-			return stats, err
-		}
-		kept := ents[:0]
-		for _, e := range ents {
-			if e.Name != "." && e.Name != ".." && opts.Exclude != nil && opts.Exclude(e.Name) {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		prep.dirBlobs[ino] = encodeDirEnts(kept)
-	}
-	stats.DirsDumped = len(dirInos)
-	end()
-
-	// Phase IV: shard pipelines joined by a plain group; per-shard
-	// errors stay in the results so siblings are unaffected.
-	begin("Dumping files")
-	results := make([]ShardResult, nShards)
-	g := pipeline.NewGroup(ctx)
-	for k := 0; k < nShards; k++ {
-		k := k
-		lo := len(fileInos) * k / nShards
-		hi := len(fileInos) * (k + 1) / nShards
-		var resume *Checkpoint
-		if opts.ResumeShards != nil {
-			resume = opts.ResumeShards[k]
-		}
-		g.Go(fmt.Sprintf("logical.shard%d", k), func(ctx context.Context) error {
-			results[k] = dumpLogicalShard(ctx, prep, opts.Sinks[k], fileInos[lo:hi], k, nShards, resume)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		end()
-		return stats, err
-	}
-	end()
-
-	stats.ShardResults = results
-	var errs []error
-	for k := range results {
-		r := &results[k]
-		stats.FilesDumped += r.FilesDumped
-		stats.FilesSkipped += r.FilesSkipped
-		stats.BytesWritten += r.BytesWritten
-		stats.Damaged = append(stats.Damaged, r.Damaged...)
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", r.Shard, r.Err))
+			sh.ckptIno = j.ino
+			sinceCkpt = 0
 		}
 	}
-	if len(errs) > 0 {
-		return stats, errors.Join(errs...)
-	}
-	if opts.Dates != nil {
-		opts.Dates.Record(opts.FSID, opts.Level, st.date)
-	}
-	m := obs.MetricsFrom(ctx)
-	l := obs.Labels{"fsid": opts.FSID}
-	m.Counter("logical_dump_files_total", l).Add(int64(stats.FilesDumped))
-	m.Counter("logical_dump_dirs_total", l).Add(int64(stats.DirsDumped))
-	m.Counter("logical_dump_bytes_total", l).Add(stats.BytesWritten)
-	m.Counter("logical_dump_damaged_blocks_total", l).Add(int64(len(stats.Damaged)))
-	return stats, nil
+	return sh.w.Close()
 }

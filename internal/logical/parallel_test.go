@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/dumpfmt"
@@ -65,23 +66,34 @@ func parallelLogicalFS(t *testing.T, seed int64) (*wafl.FS, *wafl.View) {
 	return src, sv
 }
 
-// TestLogicalParallelMatchesShardedStreams proves the tentpole
-// byte-identity contract: one Sinks dump with parallel readers writes,
-// per shard, exactly the stream a caller-driven Shard/Shards dump of
-// the same slice writes. Parallelism changes only the clock.
+// TestLogicalParallelMatchesShardedStreams proves the byte-identity
+// contract: one Sinks dump with parallel readers writes, per shard,
+// exactly the stream that shard writes when it is dumped alone (Sinks
+// with only entry k set) on the writer-staged single-reader path.
+// Parallelism changes only the clock.
 func TestLogicalParallelMatchesShardedStreams(t *testing.T) {
 	_, sv := parallelLogicalFS(t, 71)
 	const nShards = 4
 
-	// Reference: one sequential dump per shard, caller-driven.
+	// Reference: one dump per shard, every other entry nil.
 	want := make([]*memSink, nShards)
 	for k := 0; k < nShards; k++ {
 		want[k] = &memSink{}
-		if _, err := Dump(ctx, DumpOptions{
-			View: sv, Sink: want[k], Label: "par", ReadAhead: 8,
-			Shard: k, Shards: nShards, CheckpointEvery: 3,
-		}); err != nil {
+		sinks := make([]dumpfmt.Sink, nShards)
+		sinks[k] = want[k]
+		stats, err := Dump(ctx, DumpOptions{
+			View: sv, Sinks: sinks, Label: "par", ReadAhead: 8, CheckpointEvery: 3,
+		})
+		if err != nil {
 			t.Fatalf("shard %d reference dump: %v", k, err)
+		}
+		for j, r := range stats.ShardResults {
+			if j != k && !reflect.DeepEqual(r, ShardResult{}) {
+				t.Fatalf("skipped shard %d has result %+v, want zero", j, r)
+			}
+		}
+		if r := stats.ShardResults[k]; r.Shard != k || r.FilesDumped == 0 {
+			t.Fatalf("shard %d alone: result %+v", k, r)
 		}
 	}
 
@@ -122,7 +134,53 @@ func TestLogicalParallelMatchesShardedStreams(t *testing.T) {
 	for k := 0; k < nShards; k++ {
 		w, g := want[k].bytes(), got[k].bytes()
 		if string(w) != string(g) {
-			t.Fatalf("shard %d stream differs: sequential %d bytes, parallel %d bytes", k, len(w), len(g))
+			t.Fatalf("shard %d stream differs: alone %d bytes, parallel %d bytes", k, len(w), len(g))
+		}
+	}
+}
+
+// TestLogicalSinkReadersByteIdentical: Readers applies to a Sink dump
+// too, and the stream does not depend on it.
+func TestLogicalSinkReadersByteIdentical(t *testing.T) {
+	_, sv := parallelLogicalFS(t, 75)
+	var streams [2]*memSink
+	for i, readers := range []int{1, 3} {
+		streams[i] = &memSink{}
+		stats, err := Dump(ctx, DumpOptions{
+			View: sv, Sink: streams[i], Label: "rd", ReadAhead: 8,
+			Readers: readers, CheckpointEvery: 4,
+		})
+		if err != nil {
+			t.Fatalf("readers %d: %v", readers, err)
+		}
+		if len(stats.ShardResults) != 1 || stats.ShardResults[0].FilesDumped != stats.FilesDumped {
+			t.Fatalf("readers %d: ShardResults %+v for %d files", readers, stats.ShardResults, stats.FilesDumped)
+		}
+	}
+	if a, b := streams[0].bytes(), streams[1].bytes(); string(a) != string(b) {
+		t.Fatalf("Sink stream differs: readers 1 %d bytes, readers 3 %d bytes", len(a), len(b))
+	}
+}
+
+// TestLogicalRejectsBadSinkSets: a dump needs at least one stream, and
+// the single-stream and sharded spellings do not mix.
+func TestLogicalRejectsBadSinkSets(t *testing.T) {
+	_, sv := parallelLogicalFS(t, 76)
+	for name, o := range map[string]DumpOptions{
+		"no sink":        {View: sv},
+		"all-nil Sinks":  {View: sv, Sinks: make([]dumpfmt.Sink, 3)},
+		"Sink and Sinks": {View: sv, Sink: &memSink{}, Sinks: []dumpfmt.Sink{&memSink{}}},
+		"Resume on Sinks": {View: sv, Sinks: []dumpfmt.Sink{&memSink{}},
+			Resume: &Checkpoint{Shard: 0, Shards: 1}},
+		"ResumeShards on Sink": {View: sv, Sink: &memSink{},
+			ResumeShards: []*Checkpoint{{Shard: 0, Shards: 1}}},
+		"ResumeShards length": {View: sv, Sinks: []dumpfmt.Sink{&memSink{}, &memSink{}},
+			ResumeShards: []*Checkpoint{nil}},
+		"wrong shard": {View: sv, Sinks: []dumpfmt.Sink{nil, &memSink{}},
+			ResumeShards: []*Checkpoint{nil, {Shard: 0, Shards: 2}}},
+	} {
+		if _, err := Dump(ctx, o); err == nil {
+			t.Errorf("%s: dump accepted", name)
 		}
 	}
 }
@@ -214,28 +272,17 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	}
 
 	// The drive comes back; what reached tape before the outage is
-	// intact. Resume redumps only the torn shard: siblings get
-	// synthetic completed checkpoints, so their continuation streams
-	// carry no files.
+	// intact. Resume redumps only the torn shard: the other entries of
+	// Sinks are nil, so their shards are skipped.
 	drives[faulted].SetOffline(false)
 	drives[faulted].Flush(nil)
 	torn := stats.ShardResults[faulted].Checkpoint
 
+	cont := &memSink{}
 	contSinks := make([]dumpfmt.Sink, nShards)
-	contStreams := make([]*memSink, nShards)
+	contSinks[faulted] = cont
 	resume := make([]*Checkpoint, nShards)
-	for k := range contSinks {
-		contStreams[k] = &memSink{}
-		contSinks[k] = contStreams[k]
-		if k == faulted {
-			resume[k] = torn
-		} else {
-			resume[k] = &Checkpoint{
-				Date: torn.Date, Level: torn.Level, LastIno: wafl.Inum(1<<31 - 1),
-				Shard: k, Shards: nShards,
-			}
-		}
-	}
+	resume[faulted] = torn
 	stats2, err := Dump(ctx, DumpOptions{
 		View: sv, Sinks: contSinks, Label: "chaos", ReadAhead: 8,
 		Readers: 2, CheckpointEvery: 2, ResumeShards: resume,
@@ -250,8 +297,8 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 		t.Fatalf("resumed shard skipped %d, dumped %d; want both > 0", r.FilesSkipped, r.FilesDumped)
 	}
 	for k, r := range stats2.ShardResults {
-		if k != faulted && r.FilesDumped != 0 {
-			t.Fatalf("completed shard %d redumped %d files on resume", k, r.FilesDumped)
+		if k != faulted && !reflect.DeepEqual(r, ShardResult{}) {
+			t.Fatalf("skipped shard %d has result %+v on resume", k, r)
 		}
 	}
 
@@ -269,7 +316,7 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 		}
 	}
 	if _, err := Restore(ctx, RestoreOptions{
-		FS: dst, Source: contStreams[faulted].source(), KernelIntegrated: true,
+		FS: dst, Source: cont.source(), KernelIntegrated: true,
 	}); err != nil {
 		t.Fatalf("restoring continuation stream: %v", err)
 	}
@@ -328,5 +375,53 @@ func TestLogicalParallelIncrementalChain(t *testing.T) {
 	assertTreesEqual(t, digests(t, sv2, "/"), digests(t, dst.ActiveView(), "/"))
 	if err := dst.MustCheck(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var errSinkDead = errors.New("sink dead")
+
+// deadSink rejects every record.
+type deadSink struct{}
+
+func (deadSink) WriteRecord([]byte) error { return errSinkDead }
+func (deadSink) NextVolume() error        { return errSinkDead }
+
+// TestLogicalPhaseIIIWriteErrorFailsOnlyItsShard: a stream that dies
+// while the maps and directories are going out fails its own shard
+// only; the siblings write exactly the streams they write without it.
+// A Sink dump returns that error unwrapped.
+func TestLogicalPhaseIIIWriteErrorFailsOnlyItsShard(t *testing.T) {
+	_, sv := parallelLogicalFS(t, 77)
+	const nShards = 3
+	dump := func(sinks []dumpfmt.Sink) (*DumpStats, error) {
+		return Dump(ctx, DumpOptions{View: sv, Sinks: sinks, Label: "p3", ReadAhead: 8, CheckpointEvery: 2})
+	}
+	want := []*memSink{{}, {}, {}}
+	if _, err := dump([]dumpfmt.Sink{want[0], want[1], want[2]}); err != nil {
+		t.Fatal(err)
+	}
+	got := []*memSink{{}, nil, {}}
+	stats, err := dump([]dumpfmt.Sink{got[0], deadSink{}, got[2]})
+	if !errors.Is(err, errSinkDead) {
+		t.Fatalf("dump error = %v, want the dead sink's", err)
+	}
+	if r := stats.ShardResults[1]; r.Err == nil || r.FilesDumped != 0 || r.Checkpoint == nil || r.Checkpoint.LastIno != 0 {
+		t.Fatalf("dead shard result %+v, want a Phase III failure with an empty checkpoint", r)
+	}
+	for _, k := range []int{0, 2} {
+		if r := stats.ShardResults[k]; r.Err != nil {
+			t.Fatalf("sibling shard %d failed: %v", k, r.Err)
+		}
+		if string(got[k].bytes()) != string(want[k].bytes()) {
+			t.Fatalf("sibling shard %d stream differs from the all-good dump", k)
+		}
+	}
+
+	stats, err = Dump(ctx, DumpOptions{View: sv, Sink: deadSink{}, Label: "p3", CheckpointEvery: 2})
+	if err != errSinkDead {
+		t.Fatalf("Sink dump error = %v, want the sink's error unwrapped", err)
+	}
+	if stats.Checkpoint == nil || stats.Checkpoint.Shards != 1 || len(stats.ShardResults) != 1 {
+		t.Fatalf("Sink dump checkpoint %+v, %d shard results", stats.Checkpoint, len(stats.ShardResults))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/logical"
@@ -37,9 +38,9 @@ func parallelFS(t *testing.T, seed int64) (*wafl.FS, *storage.MemDevice) {
 }
 
 // TestParallelDumpMatchesShardedStreams: one Dump call with Sinks (and
-// parallel readers) produces, shard for shard, exactly the bytes the
-// caller-driven Shard/Shards mode produces — parallelism changes only
-// the clock, never the tape.
+// parallel readers) produces, shard for shard, exactly the bytes each
+// shard writes when it is dumped alone (Sinks with only entry k set)
+// by one reader — parallelism changes only the clock, never the tape.
 func TestParallelDumpMatchesShardedStreams(t *testing.T) {
 	fs, dev := parallelFS(t, 7)
 	const drives = 4
@@ -47,11 +48,18 @@ func TestParallelDumpMatchesShardedStreams(t *testing.T) {
 	want := make([][]byte, drives)
 	for k := 0; k < drives; k++ {
 		sink := &memSink{}
-		if _, err := Dump(ctx, DumpOptions{
-			FS: fs, Vol: dev, SnapName: "s", Sink: sink,
-			Shard: k, Shards: drives, CheckpointEvery: 32,
-		}); err != nil {
-			t.Fatalf("sequential shard %d: %v", k, err)
+		alone := make([]Sink, drives)
+		alone[k] = sink
+		stats, err := Dump(ctx, DumpOptions{
+			FS: fs, Vol: dev, SnapName: "s", Sinks: alone, CheckpointEvery: 32,
+		})
+		if err != nil {
+			t.Fatalf("shard %d alone: %v", k, err)
+		}
+		for j, r := range stats.ShardResults {
+			if j != k && !reflect.DeepEqual(r, ShardResult{}) {
+				t.Fatalf("skipped shard %d has result %+v, want zero", j, r)
+			}
 		}
 		want[k] = streamBytes(sink)
 	}
@@ -82,6 +90,30 @@ func TestParallelDumpMatchesShardedStreams(t *testing.T) {
 	}
 	if sum != stats.BlocksDumped {
 		t.Errorf("shard blocks sum %d != total %d", sum, stats.BlocksDumped)
+	}
+}
+
+// TestSinkReadersByteIdentical: a Sink dump is a one-shard dump, so
+// Readers applies to it and does not change its stream.
+func TestSinkReadersByteIdentical(t *testing.T) {
+	fs, dev := parallelFS(t, 8)
+	var streams [2][]byte
+	for i, readers := range []int{1, 3} {
+		sink := &memSink{}
+		stats, err := Dump(ctx, DumpOptions{
+			FS: fs, Vol: dev, SnapName: "s", Sink: sink,
+			Readers: readers, ReadAhead: 2, CheckpointEvery: 32,
+		})
+		if err != nil {
+			t.Fatalf("readers %d: %v", readers, err)
+		}
+		if len(stats.ShardResults) != 1 || stats.ShardResults[0].BlocksDumped != stats.BlocksDumped {
+			t.Fatalf("readers %d: ShardResults %+v for %d blocks", readers, stats.ShardResults, stats.BlocksDumped)
+		}
+		streams[i] = streamBytes(sink)
+	}
+	if !bytes.Equal(streams[0], streams[1]) {
+		t.Fatalf("Sink stream differs: readers 1 %d bytes, readers 3 %d bytes", len(streams[0]), len(streams[1]))
 	}
 }
 
@@ -321,36 +353,22 @@ func TestParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	if err := cont.Load(nil); err != nil {
 		t.Fatal(err)
 	}
+	// Only the torn shard's entry is set; the others are skipped.
 	resume := make([]*Checkpoint, drives)
 	resume[faulted] = stats.ShardResults[faulted].Checkpoint
-	for k := range resume {
-		if k == faulted {
-			continue
-		}
-		// Completed shards resume past their whole block set: their
-		// continuation streams carry no data.
-		resume[k] = &Checkpoint{
-			Gen: stats.Gen, BaseGen: stats.BaseGen,
-			BlocksDone: stats.ShardResults[k].BlocksDumped,
-			Shard:      k, Shards: drives,
-		}
-	}
 	resinks := make([]Sink, drives)
-	empties := make([]*memSink, drives)
-	for k := range resinks {
-		if k == faulted {
-			resinks[k] = &logical.DriveSink{Drive: cont}
-			continue
-		}
-		empties[k] = &memSink{}
-		resinks[k] = empties[k]
-	}
+	resinks[faulted] = &logical.DriveSink{Drive: cont}
 	stats2, err := Dump(ctx, DumpOptions{
 		FS: fs, Vol: dev, SnapName: "s", Sinks: resinks,
 		CheckpointEvery: 16, ResumeShards: resume,
 	})
 	if err != nil {
 		t.Fatalf("resumed parallel dump: %v", err)
+	}
+	for k, r := range stats2.ShardResults {
+		if k != faulted && !reflect.DeepEqual(r, ShardResult{}) {
+			t.Fatalf("skipped shard %d has result %+v on resume", k, r)
+		}
 	}
 	if stats2.ShardResults[faulted].BlocksSkipped != resume[faulted].BlocksDone {
 		t.Fatalf("resumed shard skipped %d, checkpoint says %d",

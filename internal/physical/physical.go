@@ -131,8 +131,8 @@ type DumpOptions struct {
 	// only blocks in SnapName's world but not in BaseSnapName's world
 	// are written (Table 1 semantics).
 	BaseSnapName string
-	// Sink receives the stream of a single-stream dump. Mutually
-	// exclusive with Sinks.
+	// Sink receives the stream of a single-stream dump. It is the
+	// one-element spelling of Sinks and is mutually exclusive with it.
 	Sink Sink
 	// Sinks fans one Dump call out across parallel tape drives: shard
 	// k of len(Sinks) writes the k-th contiguous slice of the block
@@ -142,12 +142,15 @@ type DumpOptions struct {
 	// internal pipeline. Restore applies the shard streams in any
 	// order. A shard failure does not abort its siblings: the other
 	// shards run to completion and the failed shard's checkpoint comes
-	// back in ShardResults for a single-shard resume.
+	// back in ShardResults. A nil entry skips that shard (its
+	// ShardResult stays zero), so "redo only shard k" is Sinks with
+	// only entry k set plus ResumeShards[k]. At least one entry must be
+	// non-nil.
 	Sinks []Sink
 	// Readers is the number of parallel block readers per shard
-	// (default 1). Readers pull extents off a shared work list and the
-	// per-drive writer reassembles them in stream order, so the bytes
-	// on tape do not depend on Readers.
+	// (default 1), for Sink and Sinks dumps alike. Readers pull extents
+	// off a shared work list and the per-drive writer reassembles them
+	// in stream order, so the bytes on tape do not depend on Readers.
 	Readers int
 	// ReadAhead is how many extent reads each reader keeps in flight
 	// on the volume's async bulk path (default 1, i.e. none). Higher
@@ -156,13 +159,6 @@ type DumpOptions struct {
 	ReadAhead int
 	// Costs is the CPU model; zero value charges nothing.
 	Costs Costs
-	// Shard/Shards split the dump across parallel tape drives when the
-	// caller drives each shard itself (one Dump call per drive): shard
-	// k of n writes the k-th contiguous slice of the block set as its
-	// own self-contained stream. Zero Shards means no sharding. With
-	// Sinks set, sharding is implied and these must be zero.
-	Shard  int
-	Shards int
 	// CheckpointEvery emits a durable checkpoint extent after every N
 	// blocks, making the dump restartable (the paper's §4 restarts
 	// image dumps at tape boundaries). 0 disables checkpoints.
@@ -170,7 +166,8 @@ type DumpOptions struct {
 	// Resume continues an interrupted single-stream dump from the
 	// checkpoint a failed Dump returned: the block set is recomputed
 	// from the same (frozen) snapshots and the first BlocksDone
-	// entries are skipped.
+	// entries are skipped. It is the one-element spelling of
+	// ResumeShards.
 	Resume *Checkpoint
 	// ResumeShards, len(Sinks) long, resumes individual shards of a
 	// parallel dump: entry k is shard k's checkpoint from a previous
@@ -189,15 +186,14 @@ type Checkpoint struct {
 	Gen        uint64
 	BaseGen    uint64
 	BlocksDone int // blocks of this shard durably on media
-	// Shard/Shards record the shard identity of a sharded dump (both
-	// zero for an unsharded stream), so a resume cannot be applied to
+	// Shard/Shards record which stream of the dump this is (shard 0 of
+	// 1 for a single-stream dump), so a resume cannot be applied to
 	// the wrong slice of the block set.
 	Shard  int
 	Shards int
 }
 
-// ShardResult is one shard's outcome within a (possibly parallel)
-// dump.
+// ShardResult is one shard's outcome within a dump.
 type ShardResult struct {
 	Shard         int
 	BlocksDumped  int
@@ -210,9 +206,9 @@ type ShardResult struct {
 	Err error
 }
 
-// DumpStats reports what an image dump did. For a parallel dump the
-// top-level counters aggregate across shards and ShardResults carries
-// the per-shard detail.
+// DumpStats reports what an image dump did. The top-level counters
+// aggregate across shards and ShardResults carries the per-shard
+// detail.
 type DumpStats struct {
 	BlocksDumped  int
 	BlocksSkipped int // already on media per the resume checkpoint
@@ -223,12 +219,13 @@ type DumpStats struct {
 	// header; the backup catalog keeps it so a restore can size its
 	// target volume without mounting any media.
 	NBlocks uint64
-	// Checkpoint is set (alongside a non-nil error) when a
-	// single-stream dump aborted but can resume; nil on success or
-	// when checkpoints were disabled and no resume state existed.
+	// Checkpoint is set (alongside a non-nil error) when a Sink dump
+	// aborted but can resume; nil on success or when checkpoints were
+	// disabled and no resume state existed. A Sinks dump reports
+	// checkpoints per shard in ShardResults.
 	Checkpoint *Checkpoint
-	// ShardResults is the per-shard outcome, one entry per stream
-	// (one for a single-stream dump, len(Sinks) for a parallel one).
+	// ShardResults is the per-shard outcome, one entry per stream:
+	// one for a Sink dump, len(Sinks) for a Sinks dump.
 	ShardResults []ShardResult
 }
 
@@ -260,40 +257,41 @@ func (h *streamHeader) marshal() []byte {
 // maxRun bounds one device visit: 2 MB of consecutive blocks.
 const maxRun = 512
 
-// Dump writes the image stream for opts.SnapName — to opts.Sink as a
-// single stream, or fanned out across opts.Sinks with one concurrent
-// shard per drive. Either way the blocks move through the stage
-// pipeline: parallel block readers sharded by block range feed a
-// per-drive tape writer through a bounded queue.
+// Dump writes the image stream for opts.SnapName, one self-contained
+// stream per sink: parallel block readers feed a per-drive tape writer
+// through a bounded queue. A Sink dump is a one-shard dump: it returns
+// the shard's own error and checkpoint.
 func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
-	multi := len(opts.Sinks) > 0
-	sinks := opts.Sinks
-	if !multi {
-		if opts.FS == nil || opts.Vol == nil || opts.Sink == nil {
-			return nil, fmt.Errorf("physical: nil fs, volume or sink")
-		}
-		sinks = []Sink{opts.Sink}
-	} else {
-		if opts.FS == nil || opts.Vol == nil {
-			return nil, fmt.Errorf("physical: nil fs, volume or sink")
-		}
-		if opts.Sink != nil {
+	if opts.FS == nil || opts.Vol == nil {
+		return nil, fmt.Errorf("physical: nil fs or volume")
+	}
+	sinks, resumes := opts.Sinks, opts.ResumeShards
+	single := opts.Sink != nil
+	if single {
+		if sinks != nil {
 			return nil, fmt.Errorf("physical: Sink and Sinks are mutually exclusive")
 		}
-		if opts.Shards != 0 || opts.Shard != 0 {
-			return nil, fmt.Errorf("physical: Shard/Shards must be zero with Sinks (sharding is implied)")
+		if resumes != nil {
+			return nil, fmt.Errorf("physical: ResumeShards requires Sinks")
 		}
+		sinks = []Sink{opts.Sink}
 		if opts.Resume != nil {
-			return nil, fmt.Errorf("physical: use ResumeShards with Sinks")
+			resumes = []*Checkpoint{opts.Resume}
 		}
-		if opts.ResumeShards != nil && len(opts.ResumeShards) != len(sinks) {
-			return nil, fmt.Errorf("physical: %d resume checkpoints for %d sinks", len(opts.ResumeShards), len(sinks))
+	} else if opts.Resume != nil {
+		return nil, fmt.Errorf("physical: use ResumeShards with Sinks")
+	}
+	live := 0
+	for _, s := range sinks {
+		if s != nil {
+			live++
 		}
-		for _, s := range sinks {
-			if s == nil {
-				return nil, fmt.Errorf("physical: nil sink in Sinks")
-			}
-		}
+	}
+	if live == 0 {
+		return nil, fmt.Errorf("physical: nil sink")
+	}
+	if resumes != nil && len(resumes) != len(sinks) {
+		return nil, fmt.Errorf("physical: %d resume checkpoints for %d sinks", len(resumes), len(sinks))
 	}
 	nShards := len(sinks)
 
@@ -330,44 +328,12 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	// bitmap set difference of the paper's §4.1.
 	all := IncrementalBlocks(words, baseWords)
 
-	// Shard specs: the contiguous block-set slice, the shard identity
-	// recorded in checkpoints, and the resume state. The slice formula
-	// is the same for a parallel dump and a caller-driven Shard/Shards
-	// dump, so the streams (and resume checkpoints) are interchangeable
-	// between the two modes.
-	type shardSpec struct {
-		blocks            []uint32
-		ckShard, ckShards int
-		resume            *Checkpoint
-	}
-	specs := make([]shardSpec, nShards)
-	if multi {
-		for k := range specs {
-			lo := len(all) * k / nShards
-			hi := len(all) * (k + 1) / nShards
-			specs[k] = shardSpec{blocks: all[lo:hi], ckShard: k, ckShards: nShards}
-			if opts.ResumeShards != nil {
-				specs[k].resume = opts.ResumeShards[k]
-			}
-		}
-	} else {
-		blocks := all
-		if opts.Shards > 1 {
-			if opts.Shard < 0 || opts.Shard >= opts.Shards {
-				return nil, fmt.Errorf("physical: shard %d of %d", opts.Shard, opts.Shards)
-			}
-			lo := len(blocks) * opts.Shard / opts.Shards
-			hi := len(blocks) * (opts.Shard + 1) / opts.Shards
-			blocks = blocks[lo:hi]
-		}
-		specs[0] = shardSpec{blocks: blocks, ckShard: opts.Shard, ckShards: opts.Shards, resume: opts.Resume}
-	}
-
-	// A resumed shard recomputes the same deterministic block set (the
+	// Shard k carries the k-th contiguous slice of the block set. A
+	// resumed shard recomputes the same deterministic slice (the
 	// snapshots are frozen) and skips what its checkpoint vouches for.
 	// Validate every resume before any tape moves.
-	for k := range specs {
-		r := specs[k].resume
+	shardBlocks := func(k int) []uint32 { return all[len(all)*k/nShards : len(all)*(k+1)/nShards] }
+	for k, r := range resumes {
 		if r == nil {
 			continue
 		}
@@ -375,12 +341,12 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 			return nil, fmt.Errorf("physical: resume checkpoint is for gen %d/base %d, dump is gen %d/base %d",
 				r.Gen, r.BaseGen, snap.Gen, baseGen)
 		}
-		if r.Shard != specs[k].ckShard || r.Shards != specs[k].ckShards {
+		if r.Shard != k || r.Shards != nShards {
 			return nil, fmt.Errorf("physical: resume checkpoint is for shard %d/%d, dump shard is %d/%d",
-				r.Shard, r.Shards, specs[k].ckShard, specs[k].ckShards)
+				r.Shard, r.Shards, k, nShards)
 		}
-		if r.BlocksDone > len(specs[k].blocks) {
-			return nil, fmt.Errorf("physical: resume checkpoint claims %d of %d blocks", r.BlocksDone, len(specs[k].blocks))
+		if n := len(shardBlocks(k)); r.BlocksDone > n {
+			return nil, fmt.Errorf("physical: resume checkpoint claims %d of %d blocks", r.BlocksDone, n)
 		}
 	}
 
@@ -401,17 +367,31 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 
 	stats := &DumpStats{Gen: snap.Gen, BaseGen: baseGen, NBlocks: uint64(len(words))}
 	results := make([]ShardResult, nShards)
-	if nShards == 1 {
-		results[0] = dumpShard(ctx, &opts, sinks[0], specs[0].blocks, hdr, specs[0].ckShard, specs[0].ckShards, specs[0].resume)
+	run := func(ctx context.Context, k int) {
+		var resume *Checkpoint
+		if resumes != nil {
+			resume = resumes[k]
+		}
+		results[k] = dumpShard(ctx, &opts, sinks[k], shardBlocks(k), hdr, k, nShards, resume)
+	}
+	if live == 1 {
+		for k := range sinks {
+			if sinks[k] != nil {
+				run(ctx, k)
+			}
+		}
 	} else {
 		// Shards are isolated: each runs its own pipeline, and a plain
 		// group joins them, so one drive's failure leaves the sibling
 		// shards streaming to completion.
 		g := pipeline.NewGroup(ctx)
-		for k := range specs {
+		for k := range sinks {
+			if sinks[k] == nil {
+				continue
+			}
 			k := k
 			g.Go(fmt.Sprintf("physical.shard%d", k), func(ctx context.Context) error {
-				results[k] = dumpShard(ctx, &opts, sinks[k], specs[k].blocks, hdr, specs[k].ckShard, specs[k].ckShards, specs[k].resume)
+				run(ctx, k)
 				return nil // shard errors are isolated in results
 			})
 		}
@@ -432,9 +412,9 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 		}
 	}
 	if len(errs) > 0 {
-		if !multi {
-			// Single-stream contract: the raw error and the resume
-			// checkpoint at the stats top level, exactly as before.
+		if single {
+			// Single-stream contract: the shard's own error and resume
+			// checkpoint at the stats top level.
 			stats.Checkpoint = results[0].Checkpoint
 			return stats, results[0].Err
 		}
@@ -444,9 +424,6 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	dumpSpan.SetAttr("bytes", stats.BytesWritten)
 	dumpSpan.SetAttr("gen", stats.Gen)
 	dumpSpan.SetAttr("shards", nShards)
-	if opts.Shards > 1 {
-		dumpSpan.SetAttr("shard", opts.Shard)
-	}
 	m := obs.MetricsFrom(ctx)
 	l := obs.Labels{"snap": opts.SnapName}
 	m.Counter("physical_dump_blocks_total", l).Add(int64(stats.BlocksDumped))

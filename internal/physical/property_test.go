@@ -101,9 +101,10 @@ func TestShardedDumpCoversExactlyOnce(t *testing.T) {
 		seen := make(map[uint32]int)
 		total := 0
 		for k := 0; k < shards; k++ {
-			sink := &memSink{}
+			sinks := make([]Sink, shards)
+			sinks[k] = &memSink{}
 			st, err := Dump(ctx, DumpOptions{
-				FS: fs, Vol: dev, SnapName: "s", Sink: sink, Shard: k, Shards: shards,
+				FS: fs, Vol: dev, SnapName: "s", Sinks: sinks,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -125,8 +126,8 @@ func TestShardedDumpCoversExactlyOnce(t *testing.T) {
 			}
 		}
 	}
-	// Out-of-range shard index is rejected.
-	if _, err := Dump(ctx, DumpOptions{FS: fs, Vol: dev, SnapName: "s", Sink: &memSink{}, Shard: 5, Shards: 4}); err == nil {
-		t.Fatal("bad shard accepted")
+	// A dump with no stream at all is rejected.
+	if _, err := Dump(ctx, DumpOptions{FS: fs, Vol: dev, SnapName: "s", Sinks: make([]Sink, 4)}); err == nil {
+		t.Fatal("all-nil Sinks accepted")
 	}
 }
