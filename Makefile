@@ -36,6 +36,7 @@ fuzz-smoke: ## brief real fuzzing of the untrusted-input parsers
 	$(GO) test -fuzz FuzzDecodeChunkIndex -fuzztime 10s ./internal/catalog/
 	$(GO) test -fuzz FuzzDecodeManifest -fuzztime 10s ./internal/catalog/
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/replica/
+	$(GO) test -fuzz FuzzDecodeHello -fuzztime 10s ./internal/ndmp/
 
 replica-race: ## race-detector pass over catalog replication and the failover chaos scenarios
 	$(GO) test -race -count 1 -timeout 300s ./internal/replica/

@@ -1,7 +1,8 @@
-// Backup catalog for backupctl: every completed dump/imagedump/push
-// is recorded in an append-only journal beside the volume image
-// (<vol>.catalog), and the catalog — not the operator — answers "which
-// streams, in which order" at restore time:
+// Backup catalog for backupctl: every completed dump, imagedump and
+// logical push is recorded in an append-only journal beside the volume
+// image (<vol>.catalog). The journal is the volume's dump-date record,
+// and the catalog — not the operator — answers "which streams, in
+// which order" at restore time:
 //
 //	backupctl -vol home.img catalog                  # list recorded sets
 //	backupctl -vol home.img plan -at 1234            # show the restore chain
@@ -10,7 +11,9 @@
 //	backupctl -vol home.img catalog -expire 3        # retention by hand
 //
 // The serve side keeps its own catalog (<out>.catalog) of pushed
-// streams, built from the session Hello and the stream headers.
+// streams, built from the session Hello and the stream headers. The
+// client journals a logical push without media: recover refuses a
+// chain through it, and scrub skips it.
 package main
 
 import (
@@ -48,18 +51,6 @@ func openVolCatalog(vol string) (*catalog.Catalog, *catalog.FileStore, error) {
 		fmt.Fprintf(os.Stderr, "backupctl: catalog: dropped %d torn trailing bytes (crash mid-append)\n", cat.TornBytes)
 	}
 	return cat, store, nil
-}
-
-// catalogDates returns the dump-date history for vol: derived from the
-// catalog when it has logical sets (the journal is authoritative),
-// otherwise from the legacy <vol>.dumpdates file.
-func catalogDates(cat *catalog.Catalog, vol string) *logical.DumpDates {
-	d := cat.DumpDates()
-	if len(d.Entries()) > 0 {
-		return d
-	}
-	legacy, _ := loadDates(vol)
-	return legacy
 }
 
 // recordLogicalSet journals one completed logical dump, returning the
@@ -267,6 +258,11 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 		return err
 	}
 	fmt.Print(plan.String())
+	for _, step := range plan.Steps {
+		if len(step.Media) == 0 {
+			return fmt.Errorf("recover: set %d was pushed to a tape host; recover it from that host's catalog", step.ID)
+		}
+	}
 	if eng == catalog.Image {
 		return recoverImage(ctx, vol, plan)
 	}

@@ -29,8 +29,8 @@ func readVol(t *testing.T, vol, path string) ([]byte, error) {
 	return fs.ActiveView().ReadFile(ctx, path)
 }
 
-// volSets replays the volume's catalog journal.
-func volSets(t *testing.T, vol string) []catalog.DumpSet {
+// volCatalog replays the volume's catalog journal.
+func volCatalog(t *testing.T, vol string) *catalog.Catalog {
 	t.Helper()
 	store, err := catalog.OpenFileStore(catalogPath(vol))
 	if err != nil {
@@ -41,7 +41,12 @@ func volSets(t *testing.T, vol string) []catalog.DumpSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cat.Sets()
+	return cat
+}
+
+func volSets(t *testing.T, vol string) []catalog.DumpSet {
+	t.Helper()
+	return volCatalog(t, vol).Sets()
 }
 
 // TestCatalogRecoverCLI is the acceptance flow: a level-0 dump and two

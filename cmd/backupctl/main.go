@@ -22,8 +22,9 @@
 //	backupctl -vol home.img rm /docs/readme
 //
 // Dump streams are host files of length-prefixed tape records. The
-// dump-date history for incremental levels lives beside the volume in
-// <vol>.dumpdates.
+// dump-date history for incremental levels is the catalog journal
+// beside the volume, <vol>.catalog: dump and push both record their
+// sets there and take their base dates from it.
 package main
 
 import (
@@ -32,8 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -506,7 +505,6 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			return err
 		}
 		defer store.Close()
-		dates := catalogDates(cat, vol)
 		if err := fs.CreateSnapshot(ctx, "backupctl.dump"); err != nil {
 			return err
 		}
@@ -543,7 +541,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		}
 		var index []catalog.FileIndexEntry
 		stats, err := logical.Dump(ctx, logical.DumpOptions{
-			View: view, Level: *level, Dates: dates, FSID: vol,
+			View: view, Level: *level, Dates: cat.DumpDates(), FSID: vol,
 			Subtree: *subtree, Sink: sink, Label: "backupctl", ReadAhead: 16,
 			FileIndex: func(path string, ino wafl.Inum, unit int64) {
 				index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
@@ -560,8 +558,6 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		} else if err := closeSink(); err != nil {
 			return err
 		}
-		// The catalog journal is the authoritative record; the legacy
-		// <vol>.dumpdates file is kept in sync for older tooling.
 		id, err := recordLogicalSet(cat, vol, "backupctl.dump", media, *level, stats, index)
 		if err != nil {
 			return err
@@ -570,9 +566,6 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			if err := cat.AppendManifest(id, manifest); err != nil {
 				return err
 			}
-		}
-		if err := saveDates(vol, dates); err != nil {
-			return err
 		}
 		fmt.Printf("dumped %d files, %d dirs, %d bytes (level %d, base date %d)\n",
 			stats.FilesDumped, stats.DirsDumped, stats.BytesWritten, *level, stats.BaseDate)
@@ -811,44 +804,6 @@ func openOrCreate(path string, n int) (*storage.FileDevice, error) {
 		n = 16384
 	}
 	return storage.CreateFileDevice(path, n)
-}
-
-// --- dump-date persistence: "<level> <date>" lines per fsid.
-
-func datesPath(vol string) string { return vol + ".dumpdates" }
-
-func loadDates(vol string) (*logical.DumpDates, error) {
-	d := logical.NewDumpDates()
-	data, err := os.ReadFile(datesPath(vol))
-	if err != nil {
-		return d, nil // absent = empty history
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		level, err1 := strconv.Atoi(fields[0])
-		date, err2 := strconv.ParseInt(fields[1], 10, 64)
-		if err1 == nil && err2 == nil {
-			d.Record(vol, level, date)
-		}
-	}
-	return d, nil
-}
-
-func saveDates(vol string, d *logical.DumpDates) error {
-	var lines []string
-	// DumpDates does not expose iteration; persist via its String form
-	// ("<fsid> level <L> at <date>" lines).
-	for _, line := range strings.Split(d.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 5 && fields[0] == vol {
-			lines = append(lines, fields[2]+" "+fields[4])
-		}
-	}
-	sort.Strings(lines)
-	return os.WriteFile(datesPath(vol), []byte(strings.Join(lines, "\n")+"\n"), 0644)
 }
 
 // ensure dumpfmt is linked for its Sink contract documentation.

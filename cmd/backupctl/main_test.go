@@ -61,8 +61,8 @@ func TestCLIWalkthrough(t *testing.T) {
 	os.WriteFile(second, []byte("second file"), 0644)
 	do("-vol", vol, "put", second, "/docs/second.txt")
 	do("-vol", vol, "dump", "-o", dump1, "-level", "1")
-	if _, err := os.Stat(vol + ".dumpdates"); err != nil {
-		t.Fatalf("dumpdates not persisted: %v", err)
+	if sets := volSets(t, vol); len(sets) != 2 || sets[1].Level != 1 || sets[1].BaseDate != sets[0].Date {
+		t.Fatalf("dump dates not journaled in the catalog: %+v", sets)
 	}
 
 	// Physical cycle: image dump, verify, restore to a new volume,

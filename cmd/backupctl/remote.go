@@ -13,7 +13,10 @@
 // Each stream of a session lands in its own file: the first at the
 // -o path, resumed streams (after a mid-push failure) beside it with
 // an .s<N> suffix. Restore them in order — all but the last with
-// salvage semantics — exactly like replacement tapes.
+// salvage semantics — exactly like replacement tapes. Both hosts
+// journal a logical push: the tape host with its stream files in
+// <out>.catalog, the client without media in <vol>.catalog, so the
+// client's later incrementals base on it.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/logical"
 	"repro/internal/ndmp"
 	"repro/internal/obs"
@@ -278,13 +282,18 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 	streamKind := byte(ndmp.KindLogical)
 	var lgOpts logical.DumpOptions
 	var phOpts physical.DumpOptions
-	var dates *logical.DumpDates
+	var cat *catalog.Catalog
 	switch *kind {
 	case "logical":
 		if *ckpt <= 0 {
 			*ckpt = 64 // files between resumable checkpoints
 		}
-		dates, _ = loadDates(vol)
+		c, store, err := openVolCatalog(vol)
+		if err != nil {
+			return err
+		}
+		defer store.Close()
+		cat = c
 		if err := fs.CreateSnapshot(ctx, "backupctl.push"); err != nil {
 			return err
 		}
@@ -294,7 +303,7 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 			return err
 		}
 		lgOpts = logical.DumpOptions{
-			View: view, Level: *level, Dates: dates, FSID: vol,
+			View: view, Level: *level, Dates: cat.DumpDates(), FSID: vol,
 			Label: "backupctl", ReadAhead: 16, CheckpointEvery: *ckpt,
 		}
 	case "image":
@@ -365,7 +374,15 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 		replayed += st.Replayed
 		if err == nil {
 			if streamKind == ndmp.KindLogical {
-				if err := saveDates(vol, dates); err != nil {
+				// Journal the push like a local dump, so later dumps
+				// base on it. Its stream is on the tape host, in that
+				// host's catalog, so the set names no media here.
+				if _, err := cat.AppendDumpSet(catalog.DumpSet{
+					Engine: catalog.Logical, FSID: vol, Snap: "backupctl.push",
+					Level: int32(*level), Date: lgStats.Date, BaseDate: lgStats.BaseDate,
+					Bytes: lgStats.BytesWritten, Units: int64(lgStats.FilesDumped),
+					Resumed: attempt > 0,
+				}); err != nil {
 					return err
 				}
 				fmt.Printf("pushed %d files, %d dirs, %d bytes (level %d)\n",

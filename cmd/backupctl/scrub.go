@@ -63,9 +63,10 @@ func (c *chainSource) ReadRecord() ([]byte, error) {
 }
 
 // scrubCommand verifies every live set recorded in <vol>.catalog by
-// re-reading its stream files. Sets already marked damaged are listed
-// but not re-read. With -mark, sets with findings are recorded damaged
-// in the catalog so plan/recover route around them.
+// re-reading its stream files. Sets already marked damaged, and pushed
+// sets whose streams are on a tape host, are listed but not re-read.
+// With -mark, sets with findings are recorded damaged in the catalog so
+// plan/recover route around them.
 func scrubCommand(ctx context.Context, vol string, rest []string) error {
 	set := newFlagSet("scrub")
 	mark := set.Bool("mark", false, "record sets with findings as damaged in the catalog")
@@ -87,6 +88,10 @@ func scrubCommand(ctx context.Context, vol string, rest []string) error {
 	for _, ds := range cat.Live() {
 		if reason, bad := cat.Damaged(ds.ID); bad {
 			fmt.Printf("set %-3d damaged (skipped): %s\n", ds.ID, reason)
+			continue
+		}
+		if len(ds.Media) == 0 {
+			fmt.Printf("set %-3d pushed (skipped): verify on the tape host\n", ds.ID)
 			continue
 		}
 		if ds.Resumed {

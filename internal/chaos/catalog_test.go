@@ -49,7 +49,6 @@ func newCatalogRig(t *testing.T, engine catalog.Engine) *catalogRig {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
 	s, err := sched.New(sched.Config{
 		Filer: f, Catalog: cat, Pool: pool, Engine: engine,
 		Policy: sched.BSDLadder{Ladder: []int{3, 5}},

@@ -49,7 +49,6 @@ func newScrubRig(t *testing.T, engine catalog.Engine, withMirror bool) *scrubRig
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
 
 	scfg := scrub.Config{Catalog: cat, Pool: pool, Env: f.Env}
 	var mirror *scrub.Store

@@ -90,22 +90,9 @@ type Filer struct {
 	NVRAM  *nvram.Log
 	FS     *wafl.FS
 	Tapes  []*tape.Drive
-	Dates  *logical.DumpDates
-}
-
-// DumpDatesSource is anything that can reconstruct a durable dump-date
-// history — the backup catalog implements it. Declared structurally so
-// core does not depend on internal/catalog.
-type DumpDatesSource interface {
-	DumpDates() *logical.DumpDates
-}
-
-// AttachCatalog replaces the filer's in-memory dump-date history with
-// the one reconstructed from a durable catalog journal. Before this,
-// Dates evaporated on process exit and every restart forced a level-0;
-// with a catalog attached, incremental levels survive restarts.
-func (f *Filer) AttachCatalog(src DumpDatesSource) {
-	f.Dates = src.DumpDates()
+	// Dates is the in-memory dump-date history of catalog-less runs;
+	// a scheduled dump reads its dates from the catalog journal.
+	Dates *logical.DumpDates
 }
 
 // NewFiler builds and formats a filer.

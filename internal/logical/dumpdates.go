@@ -1,10 +1,6 @@
 package logical
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // MaxLevel is the deepest incremental level, matching the 0–9 scheme
 // of BSD dump that the paper describes.
@@ -58,8 +54,9 @@ type DumpDateEntry struct {
 	Date  int64
 }
 
-// Entries returns the history as a sorted slice — the iteration the
-// catalog journal needs to persist and compare histories.
+// Entries returns the history as a sorted slice, so two histories can
+// be compared — e.g. one rebuilt from the catalog journal, which is
+// where the dates persist, against the one a dump recorded in memory.
 func (d *DumpDates) Entries() []DumpDateEntry {
 	var out []DumpDateEntry
 	for fsid, m := range d.dates {
@@ -74,16 +71,4 @@ func (d *DumpDates) Entries() []DumpDateEntry {
 		return out[i].Level < out[j].Level
 	})
 	return out
-}
-
-// String renders the history in dumpdates style for diagnostics.
-func (d *DumpDates) String() string {
-	var lines []string
-	for fsid, m := range d.dates {
-		for l, date := range m {
-			lines = append(lines, fmt.Sprintf("%s level %d at %d", fsid, l, date))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -3,6 +3,7 @@ package ndmp
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,20 +142,13 @@ func TestTransportHostEvictFinalizesSink(t *testing.T) {
 	}
 }
 
-// TestTransportHelloVersionNegotiation: a v2 Hello (no tenant suffix)
-// is served as the default tenant; versions outside [MinVersion,
-// Version] are refused with AckErr.
+// TestTransportHelloVersionNegotiation: a host speaks one version.
+// A Hello of any other version — v1, a v2 Hello without the tenant
+// suffix, a future version — is refused with AckErr naming that
+// version, not answered as a bad frame, and opens no sink.
 func TestTransportHelloVersionNegotiation(t *testing.T) {
-	v2 := Hello{Version: 2, Kind: KindLogical, Session: 3, Stream: 0, Level: 1, FSID: "home0"}
-	got, err := decodeHello(encodeHello(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tenant != "" || got.FSID != "home0" || got.Version != 2 {
-		t.Fatalf("v2 hello decoded as %+v", got)
-	}
 	v3 := Hello{Version: Version, Kind: KindImage, Session: 9, Stream: 2, Level: -1, FSID: "fs", Tenant: "acme"}
-	got, err = decodeHello(encodeHello(v3))
+	got, err := decodeHello(encodeHello(v3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +158,10 @@ func TestTransportHelloVersionNegotiation(t *testing.T) {
 
 	var opened int
 	host := NewHost(func(Hello) (Sink, error) { opened++; return &memSink{}, nil })
-	sendHello := func(h Hello) ack {
+	sendHello := func(payload []byte) ack {
 		t.Helper()
 		resps := host.HandleFrame(transport.Encode(&transport.Frame{
-			Type: MsgHello, Payload: encodeHello(h)}))
+			Type: MsgHello, Payload: payload}))
 		if len(resps) != 1 {
 			t.Fatalf("hello got %d responses, want 1", len(resps))
 		}
@@ -181,20 +175,26 @@ func TestTransportHelloVersionNegotiation(t *testing.T) {
 		}
 		return a
 	}
-	if a := sendHello(v2); a.status != AckOK {
-		t.Fatalf("v2 hello refused: %+v", a)
+	refused := func(payload []byte, version int) {
+		t.Helper()
+		a := sendHello(payload)
+		if a.status != AckErr || !strings.Contains(a.msg, fmt.Sprintf("version %d ", version)) {
+			t.Fatalf("v%d hello: %+v, want AckErr naming version %d", version, a, version)
+		}
+	}
+	// A v2 Hello is the v3 layout without the tenant suffix.
+	v2 := encodeHello(Hello{Version: 2, Kind: KindLogical, Session: 3, Stream: 0, Level: 1, FSID: "home0"})
+	refused(v2[:len(v2)-4], 2)
+	refused(encodeHello(Hello{Version: 1, Session: 4}), 1)
+	refused(encodeHello(Hello{Version: Version + 1, Session: 5}), Version+1)
+	if opened != 0 || host.Stats().BadFrames != 0 {
+		t.Fatalf("refused hellos opened %d sinks, %d bad frames", opened, host.Stats().BadFrames)
+	}
+	if a := sendHello(encodeHello(v3)); a.status != AckOK {
+		t.Fatalf("v3 hello refused: %+v", a)
 	}
 	if opened != 1 {
-		t.Fatalf("v2 hello opened %d sinks, want 1", opened)
-	}
-	if a := sendHello(Hello{Version: 1, Session: 4}); a.status != AckErr {
-		t.Fatalf("v1 hello served: %+v", a)
-	}
-	if a := sendHello(Hello{Version: Version + 1, Session: 5}); a.status != AckErr {
-		t.Fatalf("future hello served: %+v", a)
-	}
-	if opened != 1 {
-		t.Fatalf("refused hellos opened sinks (%d)", opened)
+		t.Fatalf("v3 hello opened %d sinks, want 1", opened)
 	}
 }
 

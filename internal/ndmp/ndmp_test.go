@@ -319,6 +319,9 @@ func TestTransportProtoRoundTrip(t *testing.T) {
 	if _, err := decodeHello([]byte{1}); err == nil {
 		t.Fatal("short hello must fail")
 	}
+	if _, err := decodeHello(append(encodeHello(h), 0)); err == nil {
+		t.Fatal("hello with bytes past the tenant must fail")
+	}
 	if _, err := decodeAck(nil); err == nil {
 		t.Fatal("short ack must fail")
 	}

@@ -408,13 +408,15 @@ func (c *Conn) respond(typ byte, a ack) [][]byte {
 
 func (c *Conn) handleHello(f *transport.Frame) [][]byte {
 	h := c.h
+	// The version byte leads every Hello; check it before the layout,
+	// which only Version defines.
+	if len(f.Payload) > 0 && f.Payload[0] != Version {
+		return c.respond(MsgHelloAck, ack{status: AckErr,
+			msg: fmt.Sprintf("version %d not supported (host speaks %d)", f.Payload[0], Version)})
+	}
 	hello, err := decodeHello(f.Payload)
 	if err != nil {
 		return c.BadFrame()
-	}
-	if hello.Version < MinVersion || hello.Version > Version {
-		return c.respond(MsgHelloAck, ack{status: AckErr,
-			msg: fmt.Sprintf("version %d not supported (host speaks %d-%d)", hello.Version, MinVersion, Version)})
 	}
 	key := streamKey{hello.Session, hello.Stream}
 	h.mu.Lock()

@@ -31,8 +31,7 @@ type Config struct {
 	FSID string
 	// Tenant names the client's namespace on a multi-tenant tape
 	// host: catalogs, stream files and scheduler shares are kept per
-	// tenant. Empty means the host's default tenant (also what a v2
-	// peer, whose Hello has no tenant field, is served as).
+	// tenant. Empty means the host's default tenant.
 	Tenant string
 	// Level is the incremental level carried in the Hello (-1 for
 	// image streams).

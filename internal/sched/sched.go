@@ -294,10 +294,12 @@ func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult,
 		sink = capture
 	}
 	var index []catalog.FileIndexEntry
+	// The journal is the dump-date record, so a scheduler started over
+	// a reopened catalog bases its first incremental on journaled sets.
 	stats, err := logical.Dump(ctx, logical.DumpOptions{
 		View:      view,
 		Level:     level,
-		Dates:     f.Dates,
+		Dates:     s.cfg.Catalog.DumpDates(),
 		FSID:      s.cfg.FSID,
 		Sink:      sink,
 		Label:     snap,

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/logical"
 	"repro/internal/media"
 	"repro/internal/replica"
 	"repro/internal/workload"
@@ -37,10 +38,11 @@ func TestPolicyLevels(t *testing.T) {
 
 // schedRig is one filer + catalog + pool wired for scheduled dumps.
 type schedRig struct {
-	f    *core.Filer
-	cat  *catalog.Catalog
-	pool *media.Pool
-	s    *Scheduler
+	f     *core.Filer
+	cat   *catalog.Catalog
+	store *catalog.MemStore
+	pool  *media.Pool
+	s     *Scheduler
 }
 
 func newRig(t *testing.T, engine catalog.Engine) *schedRig {
@@ -59,7 +61,8 @@ func newRig(t *testing.T, engine catalog.Engine) *schedRig {
 		t.Fatal(err)
 	}
 
-	cat, err := catalog.Open(&catalog.MemStore{})
+	store := &catalog.MemStore{}
+	cat, err := catalog.Open(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,6 @@ func newRig(t *testing.T, engine catalog.Engine) *schedRig {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
 	s, err := New(Config{
 		Filer:   f,
 		Catalog: cat,
@@ -78,7 +80,7 @@ func newRig(t *testing.T, engine catalog.Engine) *schedRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &schedRig{f: f, cat: cat, pool: pool, s: s}
+	return &schedRig{f: f, cat: cat, store: store, pool: pool, s: s}
 }
 
 // churn mutates the filesystem between runs, versioning report.txt.
@@ -149,9 +151,20 @@ func TestScheduledLogicalRecovery(t *testing.T) {
 	r := newRig(t, catalog.Logical)
 	results, states := runThree(t, r)
 
-	// The catalog-derived dump dates must match the live history.
-	if !reflect.DeepEqual(r.cat.DumpDates().Entries(), r.f.Dates.Entries()) {
-		t.Fatalf("catalog dates %v != live dates %v", r.cat.DumpDates().Entries(), r.f.Dates.Entries())
+	// The journal is the dump-date record: each incremental's base is
+	// the newest earlier set at a lower level (level 3 on the level 0,
+	// level 5 on the level 3).
+	sets := r.cat.Sets()
+	for i, ds := range sets[1:] {
+		var want int64
+		for _, b := range sets[:i+1] {
+			if b.Level < ds.Level {
+				want = b.Date
+			}
+		}
+		if ds.BaseDate != want || want == 0 {
+			t.Fatalf("level %d set %d base date %d, want %d", ds.Level, ds.ID, ds.BaseDate, want)
+		}
 	}
 
 	// Recover at the middle run's time: chain is [level 0, level 3].
@@ -323,6 +336,58 @@ func planSetIDs(p *catalog.Plan) []uint64 {
 	return out
 }
 
+// levels is a test Policy: run n dumps at levels[n].
+type levels []int
+
+func (l levels) Level(run int) int { return l[run] }
+func (l levels) String() string    { return fmt.Sprint([]int(l)) }
+
+// TestScheduleRestartBasesOnJournal: after a process restart only the
+// catalog journal survives — the filer's in-memory dump dates are
+// gone. A new Scheduler over the reopened journal must take the
+// journaled level 0 as the base of its first run, a level 3, and the
+// catalog must plan that chain.
+func TestScheduleRestartBasesOnJournal(t *testing.T) {
+	r := newRig(t, catalog.Logical)
+	full, err := r.s.RunN(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r.f.Dates = logical.NewDumpDates()
+	cat, err := catalog.Open(&catalog.MemStore{Buf: append([]byte(nil), r.store.Buf...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := media.NewPool("main", cat)
+	if err := pool.Adopt(r.f.Tapes[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Filer: r.f, Catalog: cat, Pool: pool, Engine: catalog.Logical, Policy: levels{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.churn(t, 1)
+	res, err := s.RunN(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Level != 3 {
+		t.Fatalf("first run after restart at level %d, want 3", res[0].Level)
+	}
+	sets := cat.Sets()
+	if last := sets[len(sets)-1]; last.ID != res[0].SetID || last.BaseDate != full[0].Date {
+		t.Fatalf("level 3 set %+v, want base date %d (journaled level 0)", last, full[0].Date)
+	}
+	plan, err := cat.Plan(catalog.PlanOptions{Engine: catalog.Logical, FSID: "vol0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := planSetIDs(plan); !reflect.DeepEqual(ids, []uint64{full[0].SetID, res[0].SetID}) {
+		t.Fatalf("chain after restart %v", ids)
+	}
+}
+
 // TestScheduleSurvivesCatalogFailover: the nightly schedule recording
 // into a catalog whose journal is replicated across three nodes, with
 // the primary replica killed between runs. The schedule must not
@@ -354,7 +419,6 @@ func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
 	r := &schedRig{f: f, cat: cat, pool: pool}
 	if r.s, err = New(Config{
 		Filer: f, Catalog: cat, Pool: pool, Engine: catalog.Logical,
