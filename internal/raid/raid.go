@@ -12,7 +12,7 @@ package raid
 
 import (
 	"context"
-	"encoding/binary"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -364,20 +364,10 @@ func (g *Group) chargeParity(dblock int) bool {
 	return true
 }
 
-// xorInto XORs src into dst, eight bytes per step on the aligned body.
+// xorInto XORs src into dst. src must be at least as long as dst.
 func xorInto(dst, src []byte) {
-	n := len(dst)
-	if n == 0 {
-		return
+	if len(src) < len(dst) {
+		panic("raid: xorInto source shorter than destination")
 	}
-	_ = src[n-1]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^s)
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }

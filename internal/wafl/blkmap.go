@@ -22,7 +22,7 @@ type blkmap struct {
 	words  []uint32
 	frozen []uint64 // bitset: referenced by the last committed CP
 	cursor int      // next allocation probe position
-	nfree  int      // blocks with zero word and not frozen
+	nfree  int      // allocatable blocks, kept exact at every transition
 }
 
 func newBlkmap(nblocks int) *blkmap {
@@ -30,7 +30,7 @@ func newBlkmap(nblocks int) *blkmap {
 		words:  make([]uint32, nblocks),
 		frozen: make([]uint64, (nblocks+63)/64),
 	}
-	m.nfree = nblocks
+	m.nfree = m.countFree()
 	return m
 }
 
@@ -49,7 +49,7 @@ func (m *blkmap) refreeze() {
 	for b, w := range m.words {
 		if w != 0 {
 			m.frozen[b/64] |= 1 << (uint(b) % 64)
-		} else {
+		} else if b >= fsinfoReserved {
 			free++
 		}
 	}
@@ -85,15 +85,22 @@ func (m *blkmap) free(b BlockNo) {
 	if b < fsinfoReserved || int(b) >= len(m.words) {
 		return
 	}
+	if m.words[b] == ActiveBit && !m.isFrozen(b) {
+		m.nfree++
+	}
 	m.words[b] &^= ActiveBit
 }
 
 // setActive marks b as belonging to the active filesystem without
 // going through the allocator (used by mkfs and image restore).
 func (m *blkmap) setActive(b BlockNo) {
-	if int(b) < len(m.words) {
-		m.words[b] |= ActiveBit
+	if int(b) >= len(m.words) {
+		return
 	}
+	if b >= fsinfoReserved && m.words[b] == 0 && !m.isFrozen(b) {
+		m.nfree--
+	}
+	m.words[b] |= ActiveBit
 }
 
 // copyPlane copies the src plane into the dst plane across the map,
@@ -107,6 +114,7 @@ func (m *blkmap) copyPlane(srcMask, dstMask uint32) {
 			m.words[i] &^= dstMask
 		}
 	}
+	m.nfree = m.countFree()
 }
 
 // clearPlane removes every bit of the given plane (snapshot deletion).
@@ -114,6 +122,7 @@ func (m *blkmap) clearPlane(mask uint32) {
 	for i := range m.words {
 		m.words[i] &^= mask
 	}
+	m.nfree = m.countFree()
 }
 
 // countPlane returns the number of blocks in the given plane.
@@ -128,7 +137,13 @@ func (m *blkmap) countPlane(mask uint32) int {
 }
 
 // freeBlocks returns the number of blocks allocatable right now.
-func (m *blkmap) freeBlocks() int {
+func (m *blkmap) freeBlocks() int { return m.nfree }
+
+// countFree counts the allocatable blocks — past the fsinfo blocks,
+// zero word, not frozen — by scanning the whole map. Only the
+// snapshot plane operations above and Check use it; every
+// single-block transition keeps nfree up to date instead.
+func (m *blkmap) countFree() int {
 	n := 0
 	for b, w := range m.words {
 		if b >= fsinfoReserved && w == 0 && !m.isFrozen(BlockNo(b)) {

@@ -18,13 +18,21 @@ import (
 //   - directory structure: entries point at allocated inodes, "." and
 //     ".." are correct, every allocated inode is reachable from the
 //     root, and link counts match;
-//   - file sizes are consistent with their block trees.
+//   - file sizes are consistent with their block trees;
+//   - the allocator's incremental free-block count matches a full
+//     recount of the map.
 //
 // Check returns a list of problems (empty means consistent).
 func (fs *FS) Check(ctx context.Context) ([]string, error) {
 	var problems []string
 	addf := func(format string, args ...interface{}) {
 		problems = append(problems, fmt.Sprintf(format, args...))
+	}
+
+	// The CP below recounts the free blocks, so compare the
+	// incremental count first.
+	if n, m := fs.bmap.nfree, fs.bmap.countFree(); n != m {
+		addf("free-block count %d, recount %d", n, m)
 	}
 
 	// Checking is only valid against committed state.

@@ -1,6 +1,7 @@
 package wafl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,7 +40,14 @@ func TestCheckDetectsStrayActiveBit(t *testing.T) {
 			break
 		}
 	}
-	wantProblem(t, checkProblems(t, fs), "referenced by nothing")
+	problems := checkProblems(t, fs)
+	wantProblem(t, problems, "referenced by nothing")
+	// setActive keeps the allocator's free count exact.
+	for _, p := range problems {
+		if strings.Contains(p, "free-block count") {
+			t.Fatalf("setActive left the free count stale: %s", p)
+		}
+	}
 }
 
 func TestCheckDetectsMissingActiveBit(t *testing.T) {
@@ -126,4 +134,12 @@ func TestCheckCleanOnHealthyChurn(t *testing.T) {
 	if problems := checkProblems(t, fs); len(problems) > 0 {
 		t.Fatalf("healthy filesystem flagged: %v", problems)
 	}
+}
+
+func TestCheckDetectsFreeCountDrift(t *testing.T) {
+	fs := newFS(t, 512)
+	fs.WriteFile(ctx, "/f", randBytes(6, 8192), 0644)
+	fs.bmap.nfree += 3
+	n := fs.bmap.nfree
+	wantProblem(t, checkProblems(t, fs), fmt.Sprintf("free-block count %d, recount %d", n, n-3))
 }

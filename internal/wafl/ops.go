@@ -100,6 +100,14 @@ func (fs *FS) makeNode(ctx context.Context, parent Inum, name string, mode uint3
 		pst.inodeDirty = true
 	}
 	if err := fs.dirInsert(ctx, parent, name, ino, mode&ModeTypeMask); err != nil {
+		// No entry names the new inode (typically ENOSPC for a
+		// directory block): give it back rather than orphan it.
+		if IsDir(mode) {
+			pst.ino.Nlink--
+		}
+		if ferr := fs.freeInode(ctx, ino); ferr != nil {
+			return 0, ferr
+		}
 		return 0, err
 	}
 	if target != "" {

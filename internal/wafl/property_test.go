@@ -259,3 +259,69 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 func newTestLog() *nvram.Log {
 	return nvram.New(nil, nvram.Params{Size: 4 << 20})
 }
+
+// TestFreeCountMatchesRecount drives a small volume through seeded
+// random sequences of every operation that moves block-map words —
+// writes, truncates, removes, consistency points, snapshot create,
+// delete and revert, crash and remount — and checks after each one
+// that the allocator's incremental free count equals a full recount.
+// Admission (ENOSPC) reads the incremental count, so any drift would
+// change which writes the volume accepts.
+func TestFreeCountMatchesRecount(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		dev := storage.NewMemDevice(192)
+		log := newTestLog()
+		fs, err := Mkfs(ctx, dev, log, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := []string{"a", "b", "c"}
+		for step := 0; step < 300; step++ {
+			p := fmt.Sprintf("/d%d/f%d", r.Intn(3), r.Intn(12))
+			var op string
+			switch k := r.Intn(16); {
+			case k < 5:
+				op = "write"
+				_, err = fs.WriteFile(ctx, p, randBytes(r.Int63(), r.Intn(16*BlockSize)+1), 0644)
+			case k < 7:
+				op = "truncate"
+				var ino Inum
+				if ino, err = fs.ActiveView().Namei(ctx, p); err == nil {
+					err = fs.Truncate(ctx, ino, uint64(r.Intn(4*BlockSize)))
+				}
+			case k < 9:
+				op = "remove"
+				err = fs.RemovePath(ctx, p)
+			case k < 11:
+				op = "cp"
+				err = fs.CP(ctx)
+			case k < 12:
+				op = "snap create"
+				err = fs.CreateSnapshot(ctx, snaps[r.Intn(len(snaps))])
+			case k < 13:
+				op = "snap delete"
+				err = fs.DeleteSnapshot(ctx, snaps[r.Intn(len(snaps))])
+			case k < 14:
+				op = "revert"
+				err = fs.RevertToSnapshot(ctx, snaps[r.Intn(len(snaps))])
+			default:
+				op = "crash+mount"
+				fs.Crash()
+				fs, err = Mount(ctx, dev, log, Options{})
+				if err != nil {
+					t.Fatalf("seed %d step %d: remount: %v", seed, step, err)
+				}
+			}
+			if err != nil && !errors.Is(err, ErrNoSpace) && !errors.Is(err, ErrNotFound) &&
+				!errors.Is(err, ErrSnapNotFound) && !errors.Is(err, ErrSnapExists) {
+				t.Fatalf("seed %d step %d: %s: %v", seed, step, op, err)
+			}
+			if got, want := fs.FreeBlocks()+fs.stagedBlocks, fs.bmap.countFree(); got != want {
+				t.Fatalf("seed %d step %d: after %s the free count is %d, a recount gives %d",
+					seed, step, op, got, want)
+			}
+		}
+		check(t, fs)
+	}
+}

@@ -567,8 +567,12 @@ func TestAutoCPOnNVRAMHighWater(t *testing.T) {
 func TestNoSpace(t *testing.T) {
 	fs := newFS(t, 64) // tiny volume
 	var lastErr error
-	for i := 0; i < 100; i++ {
+	i := 0
+	for ; i < 100; i++ {
 		_, lastErr = fs.WriteFile(ctx, fmt.Sprintf("/f%d", i), randBytes(int64(i), BlockSize), 0644)
+		if got, want := fs.FreeBlocks()+fs.stagedBlocks, fs.bmap.countFree(); got != want {
+			t.Fatalf("write %d: free count %d, recount %d", i, got, want)
+		}
 		if lastErr != nil {
 			break
 		}
@@ -576,7 +580,20 @@ func TestNoSpace(t *testing.T) {
 	if !errors.Is(lastErr, ErrNoSpace) {
 		t.Fatalf("filling the volume gave %v, want ErrNoSpace", lastErr)
 	}
+	// Admission from a full recount of the map refuses write 48 of
+	// this sequence; the incremental count must refuse the same write.
+	if i != 48 {
+		t.Fatalf("first ErrNoSpace at write %d, want 48", i)
+	}
 	// The filesystem must still be consistent afterwards.
+	check(t, fs)
+
+	// With the root directory block committed, a create needs a fresh
+	// block for its entry and is refused; it must not leave the inode
+	// it allocated behind as an orphan.
+	if _, err := fs.Create(ctx, RootIno, "late", 0644, 0, 0); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("create on a full volume gave %v, want ErrNoSpace", err)
+	}
 	check(t, fs)
 }
 
