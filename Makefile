@@ -78,7 +78,7 @@ tables-check: ## regenerate every paper table on the virtual clock and diff it a
 	$(GO) run ./cmd/benchtables | diff -u docs/benchtables-reference.txt -
 
 bench-smoke: ## quick fast-path micro-benchmarks, gated against the committed baseline
-	$(GO) test -run xxx -bench 'RunRead|RunWrite|RecordWrite|WAFLWrite' -benchtime 100x \
+	$(GO) test -run xxx -bench 'RunRead|RunWrite|RecordWrite|WAFLWrite|WAFLRead' -benchtime 100x \
 		./internal/storage/ ./internal/vdev/ ./internal/raid/ \
 		./internal/dumpfmt/ ./internal/physical/ ./internal/wafl/
 	$(GO) run ./cmd/backupctl bench -json '' -compare BENCH_fastpath.json

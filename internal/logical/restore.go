@@ -327,6 +327,8 @@ type restoreState struct {
 	locs map[wafl.Inum][]location
 
 	dirsToFinish []wafl.Inum // dump dir inos created/updated this run
+
+	batch []byte // restoreFile's write-coalescing buffer, reused across files
 }
 
 type location struct {
@@ -580,14 +582,14 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 	// run rather than per 1 KB segment, as a real restore does.
 	segBase := int64(0)
 	cur := h
-	var batch []byte
+	rst.batch = rst.batch[:0]
 	var batchOff uint64
 	flush := func() error {
-		if len(batch) == 0 {
+		if len(rst.batch) == 0 {
 			return nil
 		}
-		err := rst.fs.Write(ctx, fsIno, batchOff, batch)
-		batch = batch[:0]
+		err := rst.fs.Write(ctx, fsIno, batchOff, rst.batch)
+		rst.batch = rst.batch[:0]
 		return err
 	}
 	const maxBatch = 64 << 10
@@ -616,15 +618,15 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 				if len(seg) == 0 {
 					continue
 				}
-				if len(batch) > 0 && (batchOff+uint64(len(batch)) != off || len(batch) >= maxBatch) {
+				if len(rst.batch) > 0 && (batchOff+uint64(len(rst.batch)) != off || len(rst.batch) >= maxBatch) {
 					if err := flush(); err != nil {
 						return nil, err
 					}
 				}
-				if len(batch) == 0 {
+				if len(rst.batch) == 0 {
 					batchOff = off
 				}
-				batch = append(batch, seg...)
+				rst.batch = append(rst.batch, seg...)
 				rst.stats.BytesRead += int64(len(seg))
 			}
 		} else {

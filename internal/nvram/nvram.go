@@ -62,20 +62,28 @@ func New(env *sim.Env, p Params) *Log {
 	return l
 }
 
-// Append logs one serialized operation. The caller should take a
-// consistency point when NeedCP reports true; Append itself only fails
-// when a single entry cannot fit at all.
-func (l *Log) Append(ctx context.Context, op []byte) error {
-	if l.params.Size > 0 && l.used+len(op) > l.params.Size {
+// Append logs one serialized operation, gathered from parts (say, a
+// header and a payload) into the single entry the log keeps. The log
+// copies the parts, so the caller may reuse them once Append returns.
+// The caller should take a consistency point when NeedCP reports true;
+// Append itself only fails when a single entry cannot fit at all.
+func (l *Log) Append(ctx context.Context, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if l.params.Size > 0 && l.used+n > l.params.Size {
 		return ErrFull
 	}
-	cp := make([]byte, len(op))
-	copy(cp, op)
-	l.entries = append(l.entries, cp)
-	l.used += len(op)
+	entry := make([]byte, 0, n)
+	for _, p := range parts {
+		entry = append(entry, p...)
+	}
+	l.entries = append(l.entries, entry)
+	l.used += n
 	l.appends++
 	if p := sim.ProcFrom(ctx); p != nil {
-		l.station.Sync(p, l.params.PerOp+time.Duration(len(op))*l.params.PerByte)
+		l.station.Sync(p, l.params.PerOp+time.Duration(n)*l.params.PerByte)
 	}
 	return nil
 }

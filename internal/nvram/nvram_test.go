@@ -49,6 +49,23 @@ func TestEntriesAreIsolated(t *testing.T) {
 	}
 }
 
+func TestAppendGathersParts(t *testing.T) {
+	ctx := context.Background()
+	l := New(nil, Params{Size: 1024})
+	hdr, payload := []byte("write /a 0 "), []byte("payload")
+	if err := l.Append(ctx, hdr, payload); err != nil {
+		t.Fatal(err)
+	}
+	if l.Used() != len(hdr)+len(payload) {
+		t.Fatalf("Used = %d, want %d", l.Used(), len(hdr)+len(payload))
+	}
+	hdr[0], payload[0] = 'z', 'z' // caller reuses both parts
+	e := l.Entries()
+	if len(e) != 1 || string(e[0]) != "write /a 0 payload" {
+		t.Fatalf("entries = %q, want the one gathered entry", e)
+	}
+}
+
 func TestHighWaterMark(t *testing.T) {
 	ctx := context.Background()
 	l := New(nil, Params{Size: 100})

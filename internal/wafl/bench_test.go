@@ -77,3 +77,63 @@ func BenchmarkWAFLWrite(b *testing.B) {
 		})
 	}
 }
+
+// readSets caches, per volume size, the files BenchmarkWAFLRead reads
+// and the mount it reads them through, so the files are written once.
+var readSets = map[int]*readSet{}
+
+type readSet struct {
+	view *wafl.View
+	inos []wafl.Inum
+}
+
+// BenchmarkWAFLRead measures the read path a logical dump drives: each
+// op reads sixteen 64 KiB files through View.ReadAt. The files rotate
+// through a set four times the size of the buffer cache, so nearly
+// every block read misses and takes the cache's fill-and-evict path.
+// The reads go through a second mount of the aged volume, whose small
+// cache sets that ratio without rebuilding the volume; they change
+// nothing on it.
+func BenchmarkWAFLRead(b *testing.B) {
+	const filesPerOp, fileSize, files = 16, 64 << 10, 32
+	const cacheBlocks = files * fileSize / storage.BlockSize / 4
+	for _, blocks := range []int{4096, 16384} {
+		b.Run(fmt.Sprintf("vol=%dMiB", blocks*storage.BlockSize>>20), func(b *testing.B) {
+			ctx := context.Background()
+			rs, ok := readSets[blocks]
+			if !ok {
+				fs := agedFS(b, blocks)
+				data := make([]byte, fileSize)
+				rand.New(rand.NewSource(2)).Read(data)
+				rs = &readSet{}
+				for f := 0; f < files; f++ {
+					ino, err := fs.WriteFile(ctx, fmt.Sprintf("/bench/r%02d", f), data, 0644)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rs.inos = append(rs.inos, ino)
+				}
+				if err := fs.CP(ctx); err != nil {
+					b.Fatal(err)
+				}
+				rfs, err := wafl.Mount(ctx, fs.Device(), nil, wafl.Options{CacheBlocks: cacheBlocks})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rs.view = rfs.ActiveView()
+				readSets[blocks] = rs
+			}
+			buf := make([]byte, fileSize)
+			b.SetBytes(filesPerOp * fileSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for f := 0; f < filesPerOp; f++ {
+					if _, err := rs.view.ReadAt(ctx, rs.inos[(i*filesPerOp+f)%files], 0, buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

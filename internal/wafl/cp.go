@@ -135,6 +135,9 @@ func (fs *FS) flushState(ctx context.Context, st *istate) error {
 			if err := fs.writeBlock(ctx, npbn, st.dirty[fbn]); err != nil {
 				return err
 			}
+			// The cache owns the buffer now and may recycle it; an
+			// unlocked reader must find the block through fmap.
+			delete(st.dirty, fbn)
 			fs.costs.charge(ctx, fs.costs.CPBlock)
 		}
 		st.dirty = make(map[uint32][]byte)

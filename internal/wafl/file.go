@@ -215,10 +215,12 @@ func (fs *FS) prefetchBlock(ctx context.Context, pbn BlockNo) {
 	if fs.pref != nil {
 		fs.pref.Prefetch(ctx, int(pbn))
 	}
-	buf := make([]byte, BlockSize)
-	if err := fs.dev.ReadBlock(context.Background(), int(pbn), buf); err == nil {
-		fs.cache.put(pbn, buf)
+	buf := fs.cache.buf()
+	if err := fs.dev.ReadBlock(context.Background(), int(pbn), buf); err != nil {
+		fs.cache.release(buf)
+		return
 	}
+	fs.cache.insert(pbn, buf)
 }
 
 // writeAt stages a write to the active file ino at off, charging the

@@ -65,6 +65,7 @@ type FS struct {
 	dev   storage.Device
 	pref  Prefetcher // dev, if it supports prefetch
 	log   *nvram.Log // may be nil (no operation logging)
+	enc   logEnc     // reused header encoder for log entries
 	opts  Options
 	costs Costs
 	cache *blockCache
@@ -345,25 +346,35 @@ func (fs *FS) readFsinfo(ctx context.Context) (*fsinfo, error) {
 }
 
 // readBlock reads a physical block through the buffer cache. The
-// returned slice is cache-owned: callers must not modify it.
+// returned slice is cache-owned: callers must not modify it, and it
+// is valid only until the caller next calls the cache or a device
+// (readBlock, writeBlock, prefetchBlock, walkTree, ...), because that
+// call may recycle its buffer for another block. Decode what is needed
+// from it first.
+//
+// A miss is inserted only after the device read returns: a timed read
+// yields the simulated process, and another process must not hit a
+// slot that is not filled yet.
 func (fs *FS) readBlock(ctx context.Context, pbn BlockNo) ([]byte, error) {
 	if data := fs.cache.get(pbn); data != nil {
 		return data, nil
 	}
-	buf := make([]byte, BlockSize)
+	buf := fs.cache.buf()
 	if err := fs.dev.ReadBlock(ctx, int(pbn), buf); err != nil {
+		fs.cache.release(buf)
 		return nil, err
 	}
-	fs.cache.put(pbn, buf)
+	fs.cache.insert(pbn, buf)
 	return buf, nil
 }
 
-// writeBlock writes a physical block and updates the cache.
+// writeBlock writes a physical block and hands data to the cache as
+// the block's contents: the caller must not touch data afterwards.
 func (fs *FS) writeBlock(ctx context.Context, pbn BlockNo, data []byte) error {
 	if err := fs.dev.WriteBlock(ctx, int(pbn), data); err != nil {
 		return err
 	}
-	fs.cache.put(pbn, data)
+	fs.cache.insert(pbn, data)
 	return nil
 }
 
@@ -432,12 +443,16 @@ func (fs *FS) treeBlocks(ctx context.Context, ino *Inode, data func(fbn uint32, 
 		if ptr != nil {
 			ptr(ino.DblInd)
 		}
-		l1, err := fs.readBlock(ctx, ino.DblInd)
+		blk, err := fs.readBlock(ctx, ino.DblInd)
 		if err != nil {
 			return err
 		}
-		for i := 0; i < PtrsPerBlock; i++ {
-			l2pbn := BlockNo(leU32(l1[4*i:]))
+		// The L2 reads below may recycle blk's buffer: decode L1 first.
+		var l1 [PtrsPerBlock]BlockNo
+		for i := range l1 {
+			l1[i] = BlockNo(leU32(blk[4*i:]))
+		}
+		for i, l2pbn := range &l1 {
 			if l2pbn == 0 {
 				continue
 			}

@@ -28,10 +28,16 @@ const (
 	opSetAttr
 )
 
-// logEnc builds one log entry.
+// logEnc builds the header of one log entry; a write's data follows
+// it as a separate part (see logWrite).
 type logEnc struct{ buf []byte }
 
-func newLogEnc(op opcode) *logEnc { return &logEnc{buf: []byte{byte(op)}} }
+// encode resets the filesystem's one encoder for a new entry. The
+// encoder is reused across operations: Append copies it.
+func (fs *FS) encode(op opcode) *logEnc {
+	fs.enc.buf = append(fs.enc.buf[:0], byte(op))
+	return &fs.enc
+}
 func (e *logEnc) u32(v uint32) *logEnc {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
@@ -45,11 +51,6 @@ func (e *logEnc) u64(v uint64) *logEnc {
 	return e
 }
 func (e *logEnc) str(s string) *logEnc { e.u32(uint32(len(s))); e.buf = append(e.buf, s...); return e }
-func (e *logEnc) bytes(b []byte) *logEnc {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-	return e
-}
 
 // logDec parses one log entry.
 type logDec struct {
@@ -91,40 +92,44 @@ func (d *logDec) bytes() []byte {
 	return b
 }
 
-// append commits an entry to NVRAM unless logging is off or replaying.
-func (fs *FS) logAppend(ctx context.Context, e *logEnc) {
+// logAppend commits an entry — e's header followed by payload — to
+// NVRAM unless logging is off or replaying.
+func (fs *FS) logAppend(ctx context.Context, e *logEnc, payload []byte) {
 	if fs.log == nil || fs.replaying || fs.noLog {
 		return
 	}
 	// Append never legitimately fails here: maybeCP keeps the log
 	// below capacity. A failure indicates a sizing bug.
-	if err := fs.log.Append(ctx, e.buf); err != nil {
+	if err := fs.log.Append(ctx, e.buf, payload); err != nil {
 		panic(fmt.Sprintf("wafl: NVRAM append failed: %v", err))
 	}
 }
 
 func (fs *FS) logCreate(ctx context.Context, op opcode, parent Inum, name string, ino Inum, mode, uid, gid uint32, target string) {
-	fs.logAppend(ctx, newLogEnc(op).u32(uint32(parent)).str(name).u32(uint32(ino)).u32(mode).u32(uid).u32(gid).str(target))
+	fs.logAppend(ctx, fs.encode(op).u32(uint32(parent)).str(name).u32(uint32(ino)).u32(mode).u32(uid).u32(gid).str(target), nil)
 }
 
+// logWrite logs data length-prefixed, as logDec.bytes reads it back,
+// passing data through to the log instead of copying it into the
+// encoder.
 func (fs *FS) logWrite(ctx context.Context, ino Inum, off uint64, data []byte) {
-	fs.logAppend(ctx, newLogEnc(opWrite).u32(uint32(ino)).u64(off).bytes(data))
+	fs.logAppend(ctx, fs.encode(opWrite).u32(uint32(ino)).u64(off).u32(uint32(len(data))), data)
 }
 
 func (fs *FS) logTruncate(ctx context.Context, ino Inum, size uint64) {
-	fs.logAppend(ctx, newLogEnc(opTruncate).u32(uint32(ino)).u64(size))
+	fs.logAppend(ctx, fs.encode(opTruncate).u32(uint32(ino)).u64(size), nil)
 }
 
 func (fs *FS) logNameOp(ctx context.Context, op opcode, parent Inum, name string) {
-	fs.logAppend(ctx, newLogEnc(op).u32(uint32(parent)).str(name))
+	fs.logAppend(ctx, fs.encode(op).u32(uint32(parent)).str(name), nil)
 }
 
 func (fs *FS) logLink(ctx context.Context, ino, parent Inum, name string) {
-	fs.logAppend(ctx, newLogEnc(opLink).u32(uint32(ino)).u32(uint32(parent)).str(name))
+	fs.logAppend(ctx, fs.encode(opLink).u32(uint32(ino)).u32(uint32(parent)).str(name), nil)
 }
 
 func (fs *FS) logRename(ctx context.Context, srcDir Inum, srcName string, dstDir Inum, dstName string) {
-	fs.logAppend(ctx, newLogEnc(opRename).u32(uint32(srcDir)).str(srcName).u32(uint32(dstDir)).str(dstName))
+	fs.logAppend(ctx, fs.encode(opRename).u32(uint32(srcDir)).str(srcName).u32(uint32(dstDir)).str(dstName), nil)
 }
 
 // attr serialization: a presence bitmask followed by present fields.
@@ -231,9 +236,9 @@ func decodeAttr(d *logDec) Attr {
 }
 
 func (fs *FS) logSetAttr(ctx context.Context, ino Inum, a Attr) {
-	e := newLogEnc(opSetAttr).u32(uint32(ino))
+	e := fs.encode(opSetAttr).u32(uint32(ino))
 	encodeAttr(e, a)
-	fs.logAppend(ctx, e)
+	fs.logAppend(ctx, e, nil)
 }
 
 // replay re-executes logged operations against the mounted state. The

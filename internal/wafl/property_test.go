@@ -166,11 +166,18 @@ func TestDirBlockCoalescing(t *testing.T) {
 // operation sequence and checks it against a flat in-memory model,
 // including across consistency points, snapshots and a crash+replay.
 func TestRandomOpsAgainstModel(t *testing.T) {
+	t.Run("default", func(t *testing.T) { randomOpsAgainstModel(t, Options{}) })
+	// A four-block cache recycles a buffer on almost every read, so any
+	// caller that holds a cache-owned slice across a later read shows.
+	t.Run("cache=4", func(t *testing.T) { randomOpsAgainstModel(t, Options{CacheBlocks: 4}) })
+}
+
+func randomOpsAgainstModel(t *testing.T, opts Options) {
 	const files = 24
 	r := rand.New(rand.NewSource(1234))
 	dev := storage.NewMemDevice(8192)
 	log := newTestLog()
-	fs, err := Mkfs(ctx, dev, log, Options{})
+	fs, err := Mkfs(ctx, dev, log, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +250,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 		case 9: // crash and recover via NVRAM
 			fs.Crash()
-			fs, err = Mount(ctx, dev, log, Options{})
+			fs, err = Mount(ctx, dev, log, opts)
 			if err != nil {
 				t.Fatalf("step %d remount: %v", step, err)
 			}
