@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench-smoke tables-check build vet test chaos fuzz-smoke transport-race obs-smoke pipeline-race replica-race scrub-race chunk-race serve-race
+.PHONY: tier1 race bench-smoke tables-check build vet test fmt-check chaos fuzz-smoke transport-race obs-smoke pipeline-race replica-race scrub-race chunk-race serve-race
 
 tier1: ## vet + build + full test suite (the repo's gate)
 	$(GO) vet ./...
@@ -12,6 +12,9 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+fmt-check: ## fail if any Go file is not gofmt-formatted
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

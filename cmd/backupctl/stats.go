@@ -14,7 +14,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/obs"
@@ -53,6 +55,16 @@ func traceToFile(path string) (*obs.Tracer, func(), error) {
 	return tr, flush, nil
 }
 
+// slowLog returns a tracer OnSpan hook that prints one line to w for
+// every span whose duration meets threshold.
+func slowLog(w io.Writer, threshold time.Duration) func(string, bool, time.Duration) {
+	return func(name string, ended bool, dur time.Duration) {
+		if ended && dur >= threshold {
+			fmt.Fprintf(w, "backupctl: slow op: %s took %v (threshold %v)\n", name, dur, threshold)
+		}
+	}
+}
+
 func statsCommand(ctx context.Context, rest []string) error {
 	set := newFlagSet("stats")
 	mb := set.Int("mb", 8, "dataset size in MiB")
@@ -67,8 +79,7 @@ func statsCommand(ctx context.Context, rest []string) error {
 
 	tracer := obs.NewTracer()
 	if *slow > 0 {
-		tracer.SlowThreshold = *slow
-		tracer.SlowLog = func(msg string) { fmt.Fprintln(os.Stderr, "backupctl:", msg) }
+		tracer.OnSpan = slowLog(os.Stderr, *slow)
 	}
 	rep, err := bench.RunObs(ctx, bench.Config{DataMB: *mb, Seed: *seed, AgeRounds: 2}, tracer)
 	if err != nil {

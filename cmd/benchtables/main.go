@@ -71,10 +71,10 @@ func main() {
 		res, err := bench.RunParallel(ctx, cfg, tc.drives)
 		die(err)
 		groups := map[string][]*bench.Stage{
-			"Logical Backup":   res.LogicalBackupStages,
-			"Logical Restore":  res.LogicalRestoreStages,
-			"Physical Backup":  res.PhysicalBackupStages,
-			"Physical Restore": res.PhysicalRestoreStages,
+			"Logical Backup":   res.LogicalBackup.Stages,
+			"Logical Restore":  res.LogicalRestore.Stages,
+			"Physical Backup":  res.PhysicalBackup.Stages,
+			"Physical Restore": res.PhysicalRestore.Stages,
 		}
 		fmt.Println(bench.FormatParallelTable(
 			fmt.Sprintf("Table %d: Parallel Backup and Restore Performance on %d tape drives (%d MB)",

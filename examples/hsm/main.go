@@ -62,7 +62,7 @@ func main() {
 			if err := primary.LoadTape(c, 0); err != nil {
 				log.Fatal(err)
 			}
-			stats, err := primary.LogicalDump(c, 0, level, "", day, nil)
+			stats, err := primary.LogicalDump(c, 0, level, "", day)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func main() {
 
 		secondary.Env.Spawn("apply-"+day, func(p *sim.Proc) {
 			c := core.Proc(ctx, p)
-			if _, err := secondary.LogicalRestore(c, 0, "/", level > 0, nil); err != nil {
+			if _, err := secondary.LogicalRestore(c, 0, "/", level > 0); err != nil {
 				log.Fatal(err)
 			}
 		})
@@ -116,7 +116,7 @@ func main() {
 		if err := secondary.LoadTape(c, 1); err != nil {
 			log.Fatal(err)
 		}
-		stats, err := secondary.LogicalDump(c, 1, 0, "", "weekly-archive", nil)
+		stats, err := secondary.LogicalDump(c, 1, 0, "", "weekly-archive")
 		if err != nil {
 			log.Fatal(err)
 		}

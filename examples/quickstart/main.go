@@ -49,7 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := p.Now()
-		stats, err := source.LogicalDump(c, 0, 0, "", "quickstart", nil)
+		stats, err := source.LogicalDump(c, 0, 0, "", "quickstart")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func main() {
 
 	dest.Env.Spawn("restore", func(p *sim.Proc) {
 		c := core.Proc(ctx, p)
-		stats, err := dest.LogicalRestore(c, 0, "/", false, nil)
+		stats, err := dest.LogicalRestore(c, 0, "/", false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func main() {
 		c := core.Proc(ctx, p)
 		filer.LoadTape(c, 0)
 		filer.LoadTape(c, 1)
-		if _, err := filer.LogicalDump(c, 0, 0, "", "nightly-dump", nil); err != nil {
+		if _, err := filer.LogicalDump(c, 0, 0, "", "nightly-dump"); err != nil {
 			log.Fatal(err)
 		}
 		stats, err := filer.ImageDump(c, 1, "nightly-image", "")

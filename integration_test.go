@@ -70,7 +70,7 @@ func TestFilerSaga(t *testing.T) {
 		if err := filer.LoadTape(c, 1); err != nil {
 			return err
 		}
-		if _, err := filer.LogicalDump(c, 0, 0, "", "sunday", nil); err != nil {
+		if _, err := filer.LogicalDump(c, 0, 0, "", "sunday"); err != nil {
 			return err
 		}
 		if _, err := filer.ImageDump(c, 1, "sunday-img", ""); err != nil {
@@ -138,7 +138,7 @@ func TestFilerSaga(t *testing.T) {
 		if err := filer.LoadTape(c, 2); err != nil {
 			return err
 		}
-		stats, err := filer.LogicalDump(c, 2, 1, "", "tuesday", nil)
+		stats, err := filer.LogicalDump(c, 2, 1, "", "tuesday")
 		if err != nil {
 			return err
 		}
@@ -241,7 +241,7 @@ func TestSagaCrossToolRestore(t *testing.T) {
 	if err := src.LoadTape(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.LogicalDump(ctx, 0, 0, "", "xfer", nil); err != nil {
+	if _, err := src.LogicalDump(ctx, 0, 0, "", "xfer"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -254,7 +254,7 @@ func TestSagaCrossToolRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst.Tapes[0] = src.Tapes[0]
-	if _, err := dst.LogicalRestore(ctx, 0, "/", false, nil); err != nil {
+	if _, err := dst.LogicalRestore(ctx, 0, "/", false); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dst.FS.ActiveView().ReadFile(ctx, "/x/y/z.txt")

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestSmokeAblations(t *testing.T) {
@@ -56,6 +58,22 @@ func TestSmokeConcurrentVolumes(t *testing.T) {
 	if slow > 1.25 {
 		t.Errorf("concurrent home dump %.2fx slower than isolated", slow)
 	}
+}
+
+// TestConcurrentVolumesReportsDumpErrors: a dump that runs out of tape
+// fails the experiment instead of reporting an empty row.
+func TestConcurrentVolumesReportsDumpErrors(t *testing.T) {
+	cfg := Config{DataMB: 2, Seed: 1, AgeRounds: 1}
+	cfg.Tweak = func(fc *core.FilerConfig) {
+		fc.TapeParams.Capacity = 64 << 10
+		fc.CartridgesPerDrive = 1
+	}
+	res, err := RunConcurrentVolumes(context.Background(), cfg)
+	if err == nil {
+		t.Fatalf("err = nil with a 64 KiB tape; home isolated %d bytes, rlse concurrent %d bytes",
+			res.HomeIsolated.Bytes, res.RlseConcurrent.Bytes)
+	}
+	t.Log(err)
 }
 
 // TestIncrementalDeterministic: the same seed must give the same

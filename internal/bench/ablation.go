@@ -56,8 +56,8 @@ func RunNVRAMAblation(ctx context.Context, cfg Config) (*AblationResult, error) 
 		var rerr error
 		var bytes int64
 		f.Env.Spawn("restore", func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
-			stats, err := f.LogicalRestore(c, 0, "/", false, rec)
+			c := rec.Trace(sim.WithProc(ctx, p))
+			stats, err := f.LogicalRestore(c, 0, "/", false)
 			if err != nil {
 				rerr = err
 				return
@@ -123,7 +123,7 @@ func RunReadAheadAblation(ctx context.Context, cfg Config) (*AblationResult, err
 				derr = err
 				return
 			}
-			rec.End()
+			rec.End("Dump")
 			bytes = stats.BytesWritten
 		})
 		f.Env.Run()
@@ -170,12 +170,12 @@ func RunCopyAblation(ctx context.Context, cfg Config) (*AblationResult, error) {
 		var derr error
 		var bytes int64
 		f.Env.Spawn("dump", func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
+			c := rec.Trace(sim.WithProc(ctx, p))
 			if err := f.LoadTape(c, 0); err != nil {
 				derr = err
 				return
 			}
-			stats, err := f.LogicalDump(c, 0, 0, "", "s", rec)
+			stats, err := f.LogicalDump(c, 0, 0, "", "s")
 			if err != nil {
 				derr = err
 				return
@@ -228,7 +228,7 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 	res := &IncrementalResult{}
 	meters := metersFor(f)
 
-	runOp := func(name string, drive int, fn func(c context.Context, rec *Recorder) error) (OpResult, error) {
+	runOp := func(name string, drive int, fn func(c context.Context) error) (OpResult, error) {
 		rec := NewRecorder(meters)
 		var opErr error
 		f.Env.Spawn(name, func(p *sim.Proc) {
@@ -238,9 +238,9 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 				return
 			}
 			rec.Begin(name)
-			opErr = fn(c, rec)
+			opErr = fn(c)
 			f.Tapes[drive].Flush(p)
-			rec.End()
+			rec.End(name)
 		})
 		f.Env.Run()
 		if opErr != nil {
@@ -250,7 +250,7 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 	}
 
 	// Full dumps with both strategies.
-	op, err := runOp("Full logical dump", 0, func(c context.Context, rec *Recorder) error {
+	op, err := runOp("Full logical dump", 0, func(c context.Context) error {
 		if err := f.FS.CreateSnapshot(c, "l0"); err != nil {
 			return err
 		}
@@ -268,7 +268,7 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 	}
 	res.FullLogical = op
 
-	op, err = runOp("Full image dump", 1, func(c context.Context, rec *Recorder) error {
+	op, err = runOp("Full image dump", 1, func(c context.Context) error {
 		stats, err := f.ImageDump(c, 1, "img0", "")
 		if err != nil {
 			return err
@@ -300,7 +300,7 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 	}
 
 	// Incrementals with both strategies.
-	op, err = runOp("Incremental logical dump", 2, func(c context.Context, rec *Recorder) error {
+	op, err = runOp("Incremental logical dump", 2, func(c context.Context) error {
 		if err := f.FS.CreateSnapshot(c, "l1"); err != nil {
 			return err
 		}
@@ -318,7 +318,7 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 	}
 	res.IncrLogical = op
 
-	op, err = runOp("Incremental image dump", 3, func(c context.Context, rec *Recorder) error {
+	op, err = runOp("Incremental image dump", 3, func(c context.Context) error {
 		stats, err := f.ImageDump(c, 3, "img1", "img0")
 		if err != nil {
 			return err
@@ -361,7 +361,7 @@ func dumpForRestore(ctx context.Context, f *core.Filer) error {
 			derr = err
 			return
 		}
-		if _, err := f.LogicalDump(c, 0, 0, "", "prep", nil); err != nil {
+		if _, err := f.LogicalDump(c, 0, 0, "", "prep"); err != nil {
 			derr = err
 		}
 	})

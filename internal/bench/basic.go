@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/raid"
 	"repro/internal/sim"
@@ -145,7 +144,7 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 	var dumpErr error
 	var dumpBytes int64
 	f.Env.Spawn("logical-dump", func(p *sim.Proc) {
-		c := sim.WithProc(ctx, p)
+		c := recLB.Trace(sim.WithProc(ctx, p))
 		if err := f.LoadTape(c, 0); err != nil {
 			dumpErr = err
 			return
@@ -155,9 +154,9 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 			dumpErr = err
 			return
 		}
-		recLB.End()
+		recLB.End("Creating snapshot")
 		view, _ := f.FS.SnapshotView("ldump")
-		stats, err := dumpLogical(c, f, view, 0, recLB)
+		stats, err := dumpLevel(c, f, view, 0, 0, 16)
 		if err != nil {
 			dumpErr = err
 			return
@@ -165,7 +164,7 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 		dumpBytes = stats.BytesWritten
 		recLB.Begin("Deleting snapshot")
 		dumpErr = f.FS.DeleteSnapshot(c, "ldump")
-		recLB.End()
+		recLB.End("Deleting snapshot")
 	})
 	f.Env.Run()
 	if dumpErr != nil {
@@ -181,8 +180,8 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 	var restErr error
 	var restBytes int64
 	f.Env.Spawn("logical-restore", func(p *sim.Proc) {
-		c := sim.WithProc(ctx, p)
-		stats, err := f.LogicalRestore(c, 0, "/", false, recLR)
+		c := recLR.Trace(sim.WithProc(ctx, p))
+		stats, err := f.LogicalRestore(c, 0, "/", false)
 		if err != nil {
 			restErr = err
 			return
@@ -219,7 +218,7 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 			pbErr = err
 			return
 		}
-		recPB.End()
+		recPB.End("Creating snapshot")
 		recPB.Begin("Dumping blocks")
 		stats, err := physical.Dump(c, physical.DumpOptions{
 			FS: f.FS, Vol: f.Vol, SnapName: "idump",
@@ -230,11 +229,11 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 			return
 		}
 		f.Tapes[1].Flush(p)
-		recPB.End()
+		recPB.End("Dumping blocks")
 		pbBytes = stats.BytesWritten
 		recPB.Begin("Deleting snapshot")
 		pbErr = f.FS.DeleteSnapshot(c, "idump")
-		recPB.End()
+		recPB.End("Deleting snapshot")
 	})
 	f.Env.Run()
 	if pbErr != nil {
@@ -265,7 +264,7 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 			return
 		}
 		target.Flush(c)
-		recPR.End()
+		recPR.End("Restoring blocks")
 		prBytes = stats.BytesRead
 	})
 	f.Env.Run()
@@ -287,23 +286,4 @@ func RunBasic(ctx context.Context, cfg Config) (*BasicResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// dumpLogical runs a logical dump with the harness' standard options.
-// A nil rec disables stage recording (a typed nil must not leak into
-// the StageRecorder interface).
-func dumpLogical(ctx context.Context, f *core.Filer, view *wafl.View, drive int, rec *Recorder) (*logical.DumpStats, error) {
-	var stages logical.StageRecorder
-	if rec != nil {
-		stages = rec
-	}
-	stats, err := logical.Dump(ctx, logical.DumpOptions{
-		View: view, Level: 0, Dates: f.Dates, FSID: f.Config.Name,
-		Sink: f.Sink(ctx, drive), Label: "bench", ReadAhead: 16, Stages: stages,
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.Tapes[drive].Flush(sim.ProcFrom(ctx))
-	return stats, nil
 }

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -106,6 +107,8 @@ type Stage struct {
 	Name  string
 	Begin Sample
 	End   Sample
+
+	ended bool
 }
 
 // Elapsed returns the stage's wall (virtual) time.
@@ -136,43 +139,71 @@ func (s *Stage) TapeMBps() float64 {
 	return float64(s.End.TapeIO-s.Begin.TapeIO) / s.Elapsed().Seconds() / (1 << 20)
 }
 
-// Recorder implements logical.StageRecorder over Meters and also
-// serves the hand-placed stages (snapshot create/delete, image dump
-// phases).
+// Recorder times an operation's stages over Meters. Stages are keyed
+// by name: the first Begin of a name opens its window and a later End
+// only moves the window's end forward, so one recorder over several
+// concurrent streams yields one row per stage, from the earliest begin
+// to the latest end — the way the paper reports parallel restores.
 type Recorder struct {
 	M      *Meters
 	Stages []*Stage
-	open   *Stage
 }
 
 // NewRecorder creates a recorder over m.
 func NewRecorder(m *Meters) *Recorder { return &Recorder{M: m} }
 
-// Begin opens a stage (closing any still-open one first).
+// phaseStages maps the engines' phase spans to the paper's stage names.
+var phaseStages = map[string]string{
+	"logical.phase12_map":                  "Mapping files and directories",
+	"logical.phase3_dirs":                  "Dumping directories",
+	"logical.phase4_files":                 "Dumping files",
+	"logical.reading_directories":          "Reading directories",
+	"logical.creating_files":               "Creating files",
+	"logical.filling_in_data":              "Filling in data",
+	"logical.setting_directory_attributes": "Setting directory attributes",
+}
+
+// Trace returns ctx carrying a fresh tracer whose phase spans drive
+// the recorder's Begin and End; other spans are ignored. It replaces
+// any tracer already in ctx.
+func (r *Recorder) Trace(ctx context.Context) context.Context {
+	tr := obs.NewTracer()
+	tr.OnSpan = func(name string, ended bool, _ time.Duration) {
+		stage, ok := phaseStages[name]
+		switch {
+		case !ok:
+		case ended:
+			r.End(stage)
+		default:
+			r.Begin(stage)
+		}
+	}
+	return obs.WithTracer(ctx, tr)
+}
+
+func (r *Recorder) stage(name string) *Stage {
+	for _, s := range r.Stages {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
+}
+
+// Begin opens the named stage unless it has already begun.
 func (r *Recorder) Begin(name string) {
-	if r.open != nil {
-		r.End()
+	if r.stage(name) == nil {
+		r.Stages = append(r.Stages, &Stage{Name: name, Begin: r.M.Take()})
 	}
-	r.open = &Stage{Name: name, Begin: r.M.Take()}
 }
 
-// End closes the open stage.
-func (r *Recorder) End() {
-	if r.open == nil {
-		return
+// End closes the named stage now, unless an earlier End closed it no
+// earlier in virtual time.
+func (r *Recorder) End(name string) {
+	s := r.stage(name)
+	if s != nil && (!s.ended || r.M.Env.Now() > s.End.T) {
+		s.End, s.ended = r.M.Take(), true
 	}
-	r.open.End = r.M.Take()
-	r.Stages = append(r.Stages, r.open)
-	r.open = nil
-}
-
-// Total returns a synthetic stage spanning the first begin to the last
-// end.
-func (r *Recorder) Total(name string) Stage {
-	if len(r.Stages) == 0 {
-		return Stage{Name: name}
-	}
-	return Stage{Name: name, Begin: r.Stages[0].Begin, End: r.Stages[len(r.Stages)-1].End}
 }
 
 // OpResult summarizes one measured operation.
@@ -200,46 +231,24 @@ func (o *OpResult) GBph() float64 {
 	return float64(o.Bytes) / (1 << 30) / o.Elapsed.Hours()
 }
 
-// summarize builds an OpResult from a recorder.
+// summarize builds an OpResult over a recorder's stages, from the
+// earliest begin to the latest end.
 func summarize(name string, rec *Recorder, bytes int64) OpResult {
-	total := rec.Total(name)
-	return OpResult{
-		Name:    name,
-		Elapsed: total.Elapsed(),
-		Bytes:   bytes,
-		Stages:  rec.Stages,
-		CPUUtil: total.CPUUtil(),
+	op := OpResult{Name: name, Bytes: bytes, Stages: rec.Stages}
+	if len(rec.Stages) == 0 {
+		return op
 	}
-}
-
-// mergeStages aggregates same-named stages from several concurrent
-// recorders into window stages (min begin to max end), the way the
-// paper reports one row per stage for four parallel dumps.
-func mergeStages(recs []*Recorder) []*Stage {
-	var order []string
-	byName := make(map[string]*Stage)
-	for _, r := range recs {
-		for _, s := range r.Stages {
-			m, ok := byName[s.Name]
-			if !ok {
-				cp := *s
-				byName[s.Name] = &cp
-				order = append(order, s.Name)
-				continue
-			}
-			if s.Begin.T < m.Begin.T {
-				m.Begin = s.Begin
-			}
-			if s.End.T > m.End.T {
-				m.End = s.End
-			}
+	total := *rec.Stages[0]
+	for _, s := range rec.Stages[1:] {
+		if s.Begin.T < total.Begin.T {
+			total.Begin = s.Begin
+		}
+		if s.End.T >= total.End.T {
+			total.End = s.End
 		}
 	}
-	out := make([]*Stage, 0, len(order))
-	for _, n := range order {
-		out = append(out, byName[n])
-	}
-	return out
+	op.Elapsed, op.CPUUtil = total.Elapsed(), total.CPUUtil()
+	return op
 }
 
 // FormatDuration renders a duration the way the paper does: hours with

@@ -30,7 +30,6 @@ type ObsReport struct {
 	DedupPrime  chunk.WriterStats `json:"dedup_prime"`
 	DedupRepeat chunk.WriterStats `json:"dedup_repeat"`
 	Metrics     []obs.Point       `json:"metrics"`
-	Stages      []*Stage          `json:"-"`
 	Registry    *obs.Registry     `json:"-"`
 	Filer       *core.Filer       `json:"-"`
 }
@@ -82,15 +81,13 @@ func RunObs(ctx context.Context, cfg Config, tr *obs.Tracer) (*ObsReport, error)
 		Registry:  reg,
 		Filer:     f,
 	}
-	rec := NewRecorder(meters)
-
 	var dumpErr error
 	f.Env.Spawn("logical-dump", func(p *sim.Proc) {
 		c := sim.WithProc(ctx, p)
 		if dumpErr = f.LoadTape(c, 0); dumpErr != nil {
 			return
 		}
-		rep.Logical, dumpErr = f.LogicalDump(c, 0, 0, "/", "obs-l0", rec)
+		rep.Logical, dumpErr = f.LogicalDump(c, 0, 0, "/", "obs-l0")
 	})
 	f.Env.Run()
 	if dumpErr != nil {
@@ -103,9 +100,7 @@ func RunObs(ctx context.Context, cfg Config, tr *obs.Tracer) (*ObsReport, error)
 		if imgErr = f.LoadTape(c, 1); imgErr != nil {
 			return
 		}
-		rec.Begin("Dumping blocks")
 		rep.Image, imgErr = f.ImageDump(c, 1, "obs-img", "")
-		rec.End()
 	})
 	f.Env.Run()
 	if imgErr != nil {
@@ -166,6 +161,5 @@ func RunObs(ctx context.Context, cfg Config, tr *obs.Tracer) (*ObsReport, error)
 			rep.DedupRepeat = ws
 		}
 	}
-	rep.Stages = rec.Stages
 	return rep, nil
 }

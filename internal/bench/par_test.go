@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -20,5 +21,11 @@ func TestSmokeParallel(t *testing.T) {
 			res.LogicalRestore.MBps(), 100*res.LogicalRestore.CPUUtil,
 			res.PhysicalBackup.MBps(), 100*res.PhysicalBackup.CPUUtil,
 			res.PhysicalRestore.MBps(), 100*res.PhysicalRestore.CPUUtil)
+		// Concurrent restore streams share one recorder: each stage is
+		// one row spanning every stream.
+		want := []string{"Reading directories", "Creating files", "Filling in data", "Setting directory attributes"}
+		if got := stageNames(res.LogicalRestore); n > 1 && !reflect.DeepEqual(got, want) {
+			t.Errorf("drives=%d: logical restore stages = %q, want %q", n, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -27,12 +28,6 @@ type ParallelResult struct {
 	LogicalRestore  OpResult
 	PhysicalBackup  OpResult
 	PhysicalRestore OpResult
-
-	// Merged stage windows for the Table 4/5 layout.
-	LogicalBackupStages   []*Stage
-	LogicalRestoreStages  []*Stage
-	PhysicalBackupStages  []*Stage
-	PhysicalRestoreStages []*Stage
 }
 
 // RunParallel reproduces Tables 4 (drives=2) and 5 (drives=4) from a
@@ -77,7 +72,7 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 	var lbErr error
 	var lbBytes int64
 	f.Env.Spawn("ldump", func(p *sim.Proc) {
-		c := sim.WithProc(ctx, p)
+		c := recLB.Trace(sim.WithProc(ctx, p))
 		sinks := make([]dumpfmt.Sink, drives)
 		for i := range sinks {
 			if lbErr = f.LoadTape(c, i); lbErr != nil {
@@ -88,7 +83,7 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 		stats, err := logical.Dump(c, logical.DumpOptions{
 			View: view, Level: 0, Dates: f.Dates, FSID: "eliot",
 			Sinks: sinks, Label: "par", ReadAhead: 16,
-			Readers: cfg.readers(), Stages: recLB,
+			Readers: cfg.readers(),
 		})
 		if err != nil {
 			lbErr = err
@@ -106,7 +101,6 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 	if err := f.FS.DeleteSnapshot(ctx, "ldump"); err != nil {
 		return nil, err
 	}
-	res.LogicalBackupStages = recLB.Stages
 	res.LogicalBackup = summarize("Logical Backup", recLB, lbBytes)
 
 	// --- Parallel logical restore: wipe, then one restore per shard
@@ -117,16 +111,14 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 	if err := f.Wipe(ctx); err != nil {
 		return nil, err
 	}
-	recs := make([]*Recorder, drives)
+	recLR := NewRecorder(meters)
+	traced := recLR.Trace(ctx)
 	errs := make([]error, drives)
 	var bytesTotal int64
-	for i := 0; i < drives; i++ {
-		recs[i] = NewRecorder(meters)
-	}
 	restoreStream := func(i int) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
-			stats, err := f.LogicalRestore(c, i, "/", false, recs[i])
+			c := sim.WithProc(traced, p)
+			stats, err := f.LogicalRestore(c, i, "/", false)
 			if err != nil {
 				errs[i] = err
 				return
@@ -148,8 +140,7 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 			return nil, fmt.Errorf("bench: parallel logical restore: %w", e)
 		}
 	}
-	res.LogicalRestoreStages = mergeStages(recs)
-	res.LogicalRestore = opFromStages("Logical Restore", res.LogicalRestoreStages, bytesTotal)
+	res.LogicalRestore = summarize("Logical Restore", recLR, bytesTotal)
 	if cfg.Verify {
 		got, err := workload.TreeDigest(ctx, f.FS.ActiveView(), "/")
 		if err != nil {
@@ -191,14 +182,13 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 		for i := 0; i < drives; i++ {
 			f.Tapes[drives+i].Flush(p)
 		}
-		recPB.End()
+		recPB.End("Dumping blocks")
 		pbBytes = stats.BytesWritten
 	})
 	f.Env.Run()
 	if pbErr != nil {
 		return nil, fmt.Errorf("bench: parallel image dump: %w", pbErr)
 	}
-	res.PhysicalBackupStages = recPB.Stages
 	res.PhysicalBackup = summarize("Physical Backup", recPB, pbBytes)
 
 	// --- Parallel physical restore: ONE call applies all the shard
@@ -232,14 +222,13 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 			return
 		}
 		target.Flush(c)
-		recPR.End()
+		recPR.End("Restoring blocks")
 		prBytes = stats.BytesRead
 	})
 	f.Env.Run()
 	if prErr != nil {
 		return nil, fmt.Errorf("bench: parallel image restore: %w", prErr)
 	}
-	res.PhysicalRestoreStages = recPR.Stages
 	res.PhysicalRestore = summarize("Physical Restore", recPR, prBytes)
 	if cfg.Verify {
 		restored, err := wafl.Mount(ctx, target, nil, wafl.Options{})
@@ -255,29 +244,6 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 		}
 	}
 	return res, nil
-}
-
-// opFromStages builds an OpResult over merged stage windows.
-func opFromStages(name string, stages []*Stage, bytes int64) OpResult {
-	if len(stages) == 0 {
-		return OpResult{Name: name, Bytes: bytes}
-	}
-	total := Stage{Begin: stages[0].Begin, End: stages[0].End}
-	for _, s := range stages[1:] {
-		if s.Begin.T < total.Begin.T {
-			total.Begin = s.Begin
-		}
-		if s.End.T > total.End.T {
-			total.End = s.End
-		}
-	}
-	return OpResult{
-		Name:    name,
-		Elapsed: total.Elapsed(),
-		Bytes:   bytes,
-		Stages:  stages,
-		CPUUtil: total.CPUUtil(),
-	}
 }
 
 // ConcurrentVolumesResult reproduces §5.1's observation that dumping
@@ -321,24 +287,26 @@ func RunConcurrentVolumes(ctx context.Context, cfg Config) (*ConcurrentVolumesRe
 		return nil, err
 	}
 
-	dump := func(f *core.Filer, rec *Recorder, snap string, bytes *int64) func(p *sim.Proc) {
+	// dump times one logical dump of f into rec; a failure lands in
+	// *errp.
+	dump := func(f *core.Filer, rec *Recorder, snap string, bytes *int64, errp *error) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
 			c := sim.WithProc(ctx, p)
-			if err := f.LoadTape(c, 0); err != nil {
+			if *errp = f.LoadTape(c, 0); *errp != nil {
 				return
 			}
-			if err := f.FS.CreateSnapshot(c, snap); err != nil {
+			if *errp = f.FS.CreateSnapshot(c, snap); *errp != nil {
 				return
 			}
 			view, _ := f.FS.SnapshotView(snap)
 			rec.Begin("Dump")
-			stats, err := dumpLogical(c, f, view, 0, nil)
-			if err != nil {
+			stats, err := dumpLevel(c, f, view, 0, 0, 16)
+			if *errp = err; err != nil {
 				return
 			}
 			*bytes = stats.BytesWritten
-			rec.End()
-			f.FS.DeleteSnapshot(c, snap)
+			rec.End("Dump")
+			*errp = f.FS.DeleteSnapshot(c, snap)
 		}
 	}
 
@@ -348,21 +316,31 @@ func RunConcurrentVolumes(ctx context.Context, cfg Config) (*ConcurrentVolumesRe
 
 	// Isolated runs.
 	var bH, bR int64
+	var errH, errR error
 	rec := NewRecorder(mHome)
-	env.Spawn("home-iso", dump(home, rec, "iso", &bH))
+	env.Spawn("home-iso", dump(home, rec, "iso", &bH, &errH))
 	env.Run()
+	if errH != nil {
+		return nil, fmt.Errorf("bench: home (isolated) dump: %w", errH)
+	}
 	res.HomeIsolated = summarize("home (isolated)", rec, bH)
 
 	rec = NewRecorder(mRlse)
-	env.Spawn("rlse-iso", dump(rlse, rec, "iso", &bR))
+	env.Spawn("rlse-iso", dump(rlse, rec, "iso", &bR, &errR))
 	env.Run()
+	if errR != nil {
+		return nil, fmt.Errorf("bench: rlse (isolated) dump: %w", errR)
+	}
 	res.RlseIsolated = summarize("rlse (isolated)", rec, bR)
 
 	// Concurrent run.
 	recH, recR := NewRecorder(mHome), NewRecorder(mRlse)
-	env.Spawn("home-con", dump(home, recH, "con", &bH))
-	env.Spawn("rlse-con", dump(rlse, recR, "con", &bR))
+	env.Spawn("home-con", dump(home, recH, "con", &bH, &errH))
+	env.Spawn("rlse-con", dump(rlse, recR, "con", &bR, &errR))
 	env.Run()
+	if err := errors.Join(errH, errR); err != nil {
+		return nil, fmt.Errorf("bench: concurrent dumps: %w", err)
+	}
 	res.HomeConcurrent = summarize("home (concurrent)", recH, bH)
 	res.RlseConcurrent = summarize("rlse (concurrent)", recR, bR)
 	return res, nil

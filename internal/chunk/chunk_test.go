@@ -324,7 +324,7 @@ func TestWriterMediaFailure(t *testing.T) {
 	media.FailAfter = 10
 	w, _ := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
 
-	data := dedupable(6, 1 << 20)
+	data := dedupable(6, 1<<20)
 	var werr error
 	for off := 0; off < len(data) && werr == nil; off += 10240 {
 		end := off + 10240

@@ -215,7 +215,7 @@ func (f *Filer) LoadTape(ctx context.Context, drive int) error {
 // `drive`. The snapshot is deleted afterwards, matching the measured
 // procedure of the paper's Table 3 (create snapshot … dump … delete
 // snapshot).
-func (f *Filer) LogicalDump(ctx context.Context, drive, level int, subtree, snapName string, stages logical.StageRecorder) (*logical.DumpStats, error) {
+func (f *Filer) LogicalDump(ctx context.Context, drive, level int, subtree, snapName string) (*logical.DumpStats, error) {
 	if err := f.FS.CreateSnapshot(ctx, snapName); err != nil {
 		return nil, err
 	}
@@ -233,7 +233,6 @@ func (f *Filer) LogicalDump(ctx context.Context, drive, level int, subtree, snap
 		Sink:      f.Sink(ctx, drive),
 		Label:     snapName,
 		ReadAhead: 16,
-		Stages:    stages,
 	})
 	if err != nil {
 		return nil, err
@@ -244,7 +243,7 @@ func (f *Filer) LogicalDump(ctx context.Context, drive, level int, subtree, snap
 
 // LogicalRestore reads a dump stream from drive into this filer's
 // filesystem under target.
-func (f *Filer) LogicalRestore(ctx context.Context, drive int, target string, syncDeletes bool, stages logical.StageRecorder) (*logical.RestoreStats, error) {
+func (f *Filer) LogicalRestore(ctx context.Context, drive int, target string, syncDeletes bool) (*logical.RestoreStats, error) {
 	f.Tapes[drive].Rewind(sim.ProcFrom(ctx))
 	return logical.Restore(ctx, logical.RestoreOptions{
 		FS:               f.FS,
@@ -252,7 +251,6 @@ func (f *Filer) LogicalRestore(ctx context.Context, drive int, target string, sy
 		TargetDir:        target,
 		SyncDeletes:      syncDeletes,
 		KernelIntegrated: true,
-		Stages:           stages,
 	})
 }
 

@@ -79,7 +79,7 @@ func TestLogicalDumpRestoreViaFiler(t *testing.T) {
 		if derr = f.LoadTape(c, 0); derr != nil {
 			return
 		}
-		if _, derr = f.LogicalDump(c, 0, 0, "", "snap", nil); derr != nil {
+		if _, derr = f.LogicalDump(c, 0, 0, "", "snap"); derr != nil {
 			return
 		}
 	})
@@ -100,7 +100,7 @@ func TestLogicalDumpRestoreViaFiler(t *testing.T) {
 	}
 	f.Env.Spawn("restore", func(p *sim.Proc) {
 		c := Proc(ctx, p)
-		if _, derr = f.LogicalRestore(c, 0, "/", false, nil); derr != nil {
+		if _, derr = f.LogicalRestore(c, 0, "/", false); derr != nil {
 			return
 		}
 	})

@@ -15,14 +15,6 @@ import (
 	"repro/internal/wafl"
 )
 
-// StageRecorder receives stage boundaries so the benchmark harness can
-// attribute elapsed time and resource utilization to dump phases the
-// way the paper's Table 3 does. A nil recorder is ignored.
-type StageRecorder interface {
-	Begin(name string)
-	End()
-}
-
 // DumpOptions configures a logical dump.
 type DumpOptions struct {
 	// View is the filesystem view to dump — normally a snapshot view,
@@ -69,8 +61,6 @@ type DumpOptions struct {
 	// (paper §3: "Network Appliance's dump generates its own
 	// read-ahead policy"). 0 disables it.
 	ReadAhead int
-	// Stages receives stage boundaries; may be nil.
-	Stages StageRecorder
 	// CheckpointEvery emits a durable TS_CHECKPOINT record after every
 	// N files in Phase IV, making the dump restartable (§4 of the
 	// paper restarts image dumps at tape boundaries; checkpoints give
@@ -284,28 +274,16 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 		dumpSpan.End()
 	}()
 
-	var phaseSpan *obs.Span
-	begin := func(name string) {
-		if opts.Stages != nil {
-			opts.Stages.Begin(name)
-		}
-		_, phaseSpan = obs.Start(ctx, phaseSpanName(name))
-	}
-	end := func() {
-		if opts.Stages != nil {
-			opts.Stages.End()
-		}
-		phaseSpan.End()
-		phaseSpan = nil
-	}
-
+	// Each phase is a span named the way the paper numbers the dump's
+	// phases; the benchmark harness times Table 3's stages from them.
+	//
 	// Phase I: map the files and directories to be dumped.
-	begin("Mapping files and directories")
-	if err := st.phaseMap(ctx); err != nil {
-		end()
+	_, phase := obs.Start(ctx, "logical.phase12_map")
+	err := st.phaseMap(ctx)
+	phase.End()
+	if err != nil {
 		return nil, err
 	}
-	end()
 
 	// The free-inode map and the sorted Phase III/IV worklists are
 	// computed once and shared by every shard.
@@ -361,7 +339,7 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 			sh.err = writeMap(sh.w, dumpfmt.TSBits, st.dump, uint32(st.rootIno))
 		}
 	}
-	begin("Dumping directories")
+	_, phase = obs.Start(ctx, "logical.phase3_dirs")
 	for _, ino := range dirInos {
 		live := running(shards)
 		if len(live) == 0 {
@@ -382,13 +360,13 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 			sh.err = writeBlob(sh.w, dumpfmt.TSInode, uint32(ino), di, data)
 		}
 	}
-	end()
+	phase.End()
 
 	// Phase IV: files, in ascending inode order, each shard on its own
 	// slice. A lone shard runs on the calling process; several run side
 	// by side on a plain group, so one drive's failure leaves the
 	// sibling shards streaming to completion.
-	begin("Dumping files")
+	_, phase = obs.Start(ctx, "logical.phase4_files")
 	if live := running(shards); len(live) == 1 {
 		live[0].err = st.dumpFiles(ctx, live[0])
 	} else {
@@ -403,7 +381,7 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 		}
 		g.Wait()
 	}
-	end()
+	phase.End()
 
 	var errs []error
 	for _, sh := range shards {
@@ -436,20 +414,6 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	m.Counter("logical_dump_bytes_total", l).Add(stats.BytesWritten)
 	m.Counter("logical_dump_damaged_blocks_total", l).Add(int64(len(stats.Damaged)))
 	return stats, nil
-}
-
-// phaseSpanName maps the harness-facing stage names to span names,
-// numbered the way the paper numbers the dump's phases.
-func phaseSpanName(stage string) string {
-	switch stage {
-	case "Mapping files and directories":
-		return "logical.phase12_map"
-	case "Dumping directories":
-		return "logical.phase3_dirs"
-	case "Dumping files":
-		return "logical.phase4_files"
-	}
-	return "logical." + obs.Slug(stage)
 }
 
 // phaseMap walks the subtree, recording every allocated inode, its

@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -198,12 +200,13 @@ func TestSpanWallClockFallback(t *testing.T) {
 	}
 }
 
-func TestSlowOpLog(t *testing.T) {
+func TestOnSpan(t *testing.T) {
 	env := sim.NewEnv()
 	tr := NewTracer()
-	tr.SlowThreshold = 100 * time.Millisecond
-	var lines []string
-	tr.SlowLog = func(line string) { lines = append(lines, line) }
+	var calls []string
+	tr.OnSpan = func(name string, ended bool, dur time.Duration) {
+		calls = append(calls, fmt.Sprintf("%s ended=%v dur=%v", name, ended, dur))
+	}
 	env.Spawn("slowpoke", func(p *sim.Proc) {
 		ctx := WithTracer(sim.WithProc(context.Background(), p), tr)
 		_, fast := Start(ctx, "op.fast")
@@ -212,10 +215,17 @@ func TestSlowOpLog(t *testing.T) {
 		_, slow := Start(ctx, "op.slow")
 		p.Sleep(time.Second)
 		slow.End()
+		slow.End()
 	})
 	env.Run()
-	if len(lines) != 1 || !strings.Contains(lines[0], "op.slow") {
-		t.Fatalf("slow log = %v, want one op.slow line", lines)
+	want := []string{
+		"op.fast ended=false dur=0s",
+		"op.fast ended=true dur=1ms",
+		"op.slow ended=false dur=0s",
+		"op.slow ended=true dur=1s",
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("OnSpan calls = %q, want %q", calls, want)
 	}
 }
 

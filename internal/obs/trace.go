@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -16,10 +15,6 @@ import (
 // the span's context when there is one — so a simulated dump renders
 // on its virtual timeline — and otherwise from wall time relative to
 // the tracer's creation.
-//
-// SlowThreshold, when set, turns on the slow-op log: every span whose
-// duration (on whichever clock stamped it) meets the threshold is
-// reported through SlowLog as it ends.
 type Tracer struct {
 	mu      sync.Mutex
 	epoch   time.Time
@@ -27,10 +22,12 @@ type Tracer struct {
 	threads map[string]int // proc name -> synthetic tid
 	tidseq  int
 
-	// SlowThreshold enables the slow-op log for spans at least this
-	// long. SlowLog receives one line per slow span; nil discards.
-	SlowThreshold time.Duration
-	SlowLog       func(line string)
+	// OnSpan, when set, is called on the span's own process, outside
+	// the tracer lock: once as Start stamps the begin (ended false,
+	// dur 0) and once as End records the span (ended true, dur its
+	// length on the clock that stamped it). The benchmark's stage
+	// accounting and backupctl's slow-op log are built on it.
+	OnSpan func(name string, ended bool, dur time.Duration)
 }
 
 // traceEvent is one completed span, Chrome trace_event shaped.
@@ -143,6 +140,9 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	p := sim.ProcFrom(ctx)
 	s := &Span{tr: tr, name: name, proc: p, tid: tr.tidFor(p), begin: tr.now(p)}
+	if tr.OnSpan != nil {
+		tr.OnSpan(name, false, 0)
+	}
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
@@ -160,8 +160,8 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs[key] = value
 }
 
-// End closes the span, records it, and fires the slow-op log when the
-// duration meets the tracer's threshold. Idempotent; no-op on nil.
+// End closes the span, records it, and reports it to the tracer's
+// OnSpan. Idempotent; no-op on nil.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -184,12 +184,9 @@ func (s *Span) End() {
 	s.tr.events = append(s.tr.events, traceEvent{
 		name: s.name, tid: s.tid, start: s.begin, dur: dur, args: attrs,
 	})
-	slow := s.tr.SlowThreshold > 0 && dur >= s.tr.SlowThreshold
-	logf := s.tr.SlowLog
-	threshold := s.tr.SlowThreshold
 	s.tr.mu.Unlock()
-	if slow && logf != nil {
-		logf(fmt.Sprintf("slow op: %s took %v (threshold %v)", s.name, dur, threshold))
+	if s.tr.OnSpan != nil {
+		s.tr.OnSpan(s.name, true, dur)
 	}
 }
 

@@ -335,3 +335,39 @@ func TestWriteAllocs(t *testing.T) {
 		t.Fatalf("16 KiB Write allocated %v times, want 5", allocs)
 	}
 }
+
+// TestLookupAllocsIndependentOfDirSize pins the directory scan's
+// allocation contract: names are compared in place and the block
+// buffer stays on the stack, so finding the last of 200 entries
+// allocates nothing, like finding one of two.
+func TestLookupAllocsIndependentOfDirSize(t *testing.T) {
+	dev := storage.NewMemDevice(1024)
+	fs, err := Mkfs(ctx, dev, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookupAllocs := func(dir string, entries int) float64 {
+		d, err := fs.MkdirAll(ctx, dir, 0755)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last string
+		for i := 0; i < entries; i++ {
+			last = fmt.Sprintf("file%03d", i)
+			if _, err := fs.Create(ctx, d, last, 0644, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		view := fs.ActiveView()
+		return testing.AllocsPerRun(100, func() {
+			if _, _, err := view.lookupDir(ctx, d, last); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := lookupAllocs("/small", 2)
+	large := lookupAllocs("/large", 200)
+	if large > small || small != 0 {
+		t.Fatalf("lookup in a 200-entry directory allocated %v times, in a 2-entry one %v; want 0", large, small)
+	}
+}

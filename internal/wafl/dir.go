@@ -41,28 +41,24 @@ func initDirBlock(blk []byte) {
 	blk[5] = byte(BlockSize >> 8)
 }
 
-// dirForEach iterates the records of one directory block. The callback
-// gets the record offset, its fields, and returns false to stop.
-func dirForEach(blk []byte, fn func(off int, ino Inum, reclen int, ftype uint32, name string) bool) error {
-	off := 0
-	for off < BlockSize {
-		if off+dirRecFixed > BlockSize {
-			return fmt.Errorf("%w: truncated directory record at %d", ErrCorrupt, off)
-		}
-		ino := Inum(leU32(blk[off:]))
-		reclen := int(blk[off+4]) | int(blk[off+5])<<8
-		namelen := int(blk[off+6])
-		ftype := uint32(blk[off+7]) << 12
-		if reclen < dirRecFixed || off+reclen > BlockSize || dirRecLen(namelen) > reclen {
-			return fmt.Errorf("%w: bad directory record at %d (reclen %d)", ErrCorrupt, off, reclen)
-		}
-		name := string(blk[off+dirRecFixed : off+dirRecFixed+namelen])
-		if !fn(off, ino, reclen, ftype, name) {
-			return nil
-		}
-		off += reclen
+// dirRecord decodes the directory record at off in blk. The name
+// aliases blk: compare it in place (string(name) == s does not
+// allocate) and convert only what outlives the block. Callers loop
+// over a block themselves, off += reclen up to BlockSize: handing the
+// name to a callback would move every caller's block buffer to the
+// heap.
+func dirRecord(blk []byte, off int) (ino Inum, reclen int, ftype uint32, name []byte, err error) {
+	if off+dirRecFixed > BlockSize {
+		return 0, 0, 0, nil, fmt.Errorf("%w: truncated directory record at %d", ErrCorrupt, off)
 	}
-	return nil
+	ino = Inum(leU32(blk[off:]))
+	reclen = int(blk[off+4]) | int(blk[off+5])<<8
+	namelen := int(blk[off+6])
+	ftype = uint32(blk[off+7]) << 12
+	if reclen < dirRecFixed || off+reclen > BlockSize || dirRecLen(namelen) > reclen {
+		return 0, 0, 0, nil, fmt.Errorf("%w: bad directory record at %d (reclen %d)", ErrCorrupt, off, reclen)
+	}
+	return ino, reclen, ftype, blk[off+dirRecFixed : off+dirRecFixed+namelen], nil
 }
 
 // dirInsertInBlock places (name → ino) in blk if space allows,
@@ -125,19 +121,19 @@ func dirInsertInBlock(blk []byte, name string, ino Inum, ftype uint32) error {
 // dirRemoveFromBlock deletes name from blk, returning the removed
 // inode number, or (0, false) if absent.
 func dirRemoveFromBlock(blk []byte, name string) (Inum, bool) {
-	var removed Inum
-	found := false
-	dirForEach(blk, func(off int, ino Inum, reclen int, ftype uint32, n string) bool {
-		if ino != 0 && n == name {
-			removed = ino
+	for off := 0; off < BlockSize; {
+		ino, reclen, _, n, err := dirRecord(blk, off)
+		if err != nil {
+			break
+		}
+		if ino != 0 && string(n) == name {
 			putU32(blk[off:], 0) // mark free; coalescing happens on insert
 			blk[off+6] = 0
-			found = true
-			return false
+			return ino, true
 		}
-		return true
-	})
-	return removed, found
+		off += reclen
+	}
+	return 0, false
 }
 
 // lookupDir finds name in directory dir of view v.
@@ -156,20 +152,15 @@ func (v *View) lookupDir(ctx context.Context, dir Inum, name string) (Inum, uint
 		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, blk); err != nil {
 			return 0, 0, err
 		}
-		var got Inum
-		var gotType uint32
-		err := dirForEach(blk, func(off int, eIno Inum, reclen int, ftype uint32, n string) bool {
-			if eIno != 0 && n == name {
-				got, gotType = eIno, ftype
-				return false
+		for off := 0; off < BlockSize; {
+			eIno, reclen, ftype, n, err := dirRecord(blk, off)
+			if err != nil {
+				return 0, 0, err
 			}
-			return true
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		if got != 0 {
-			return got, gotType, nil
+			if eIno != 0 && string(n) == name {
+				return eIno, ftype, nil
+			}
+			off += reclen
 		}
 	}
 	return 0, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -193,14 +184,15 @@ func (v *View) Readdir(ctx context.Context, dir Inum) ([]DirEnt, error) {
 		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, blk); err != nil {
 			return nil, err
 		}
-		err := dirForEach(blk, func(off int, eIno Inum, reclen int, ftype uint32, n string) bool {
-			if eIno != 0 {
-				ents = append(ents, DirEnt{Name: n, Ino: eIno, Type: ftype})
+		for off := 0; off < BlockSize; {
+			eIno, reclen, ftype, n, err := dirRecord(blk, off)
+			if err != nil {
+				return nil, err
 			}
-			return true
-		})
-		if err != nil {
-			return nil, err
+			if eIno != 0 {
+				ents = append(ents, DirEnt{Name: string(n), Ino: eIno, Type: ftype})
+			}
+			off += reclen
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })

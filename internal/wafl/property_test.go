@@ -113,14 +113,15 @@ func TestDirBlockInsertRemoveProperty(t *testing.T) {
 				}
 			}
 			got := make(map[string]Inum)
-			err := dirForEach(blk, func(off int, ino Inum, reclen int, ftype uint32, name string) bool {
-				if ino != 0 {
-					got[name] = ino
+			for off := 0; off < BlockSize; {
+				ino, reclen, _, name, err := dirRecord(blk, off)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
+				if ino != 0 {
+					got[string(name)] = ino
+				}
+				off += reclen
 			}
 			if len(got) != len(want) {
 				t.Fatalf("scan found %d entries, want %d", len(got), len(want))
